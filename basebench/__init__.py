@@ -1,0 +1,1 @@
+"""BaseBench: the repository's end-to-end benchmark (see README.md)."""
