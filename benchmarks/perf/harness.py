@@ -22,8 +22,7 @@ Timed repeats run after one untimed warmup repeat and with the garbage
 collector paused, so the numbers measure the protocol, not allocator
 warm-up or an unlucky mid-repeat GC pass.  Every closed-loop scenario
 also carries the merged ``batch.size`` histogram (the adaptive batching
-controller's actual output) and the report is tagged with the event
-scheduler backend it ran on.
+controller's actual output).
 
 A fourth scenario, ``open_loop``, is different in kind: it runs the
 open-loop traffic engine's load-sweep controller
@@ -68,11 +67,9 @@ from repro.bft.statemachine import InMemoryStateManager
 from repro.harness import costs as C
 from repro.harness.cluster import Cluster, build_cluster
 from repro.sim.metrics import Metrics
-from repro.sim.scheduler import DEFAULT_BACKEND
 
 BENCH_ID = 7
-SCHEMA_VERSION = 5  # v5: edge_read scenario (cache-served staleness-bounded
-#                     reads vs the quorum read path)
+SCHEMA_VERSION = 6  # v6: reports carry no event-queue backend tag
 
 put = InMemoryStateManager.op_put
 get = InMemoryStateManager.op_get
@@ -84,13 +81,6 @@ def _build(seed: int, **cfg_kwargs) -> Cluster:
                          config=config,
                          network_config=C.lan_network(seed),
                          costs=C.PROTOCOL_COSTS, seed=seed)
-
-
-def _events_run(cluster: Cluster) -> int:
-    # ``events_run`` is the scheduler's cumulative executed-event counter;
-    # fall back to the number of events ever scheduled on older trees.
-    sched = cluster.scheduler
-    return getattr(sched, "events_run", sched._seq)
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -283,7 +273,7 @@ def run_open_loop(quick: bool, repeats: int = 2) -> Dict[str, object]:
                              target_attainment=OPEN_LOOP_TARGET_ATTAINMENT,
                              process=OPEN_LOOP_PROCESS)
         walls.append(time.perf_counter() - start)
-        events_total += sum(_events_run(c) for c in clusters)
+        events_total += sum(c.scheduler.events_run for c in clusters)
         requests_total += sum(p.completed for p in curve.points)
         curves.append(curve.as_dict())
     for other in curves[1:]:
@@ -430,7 +420,7 @@ def run_sharded_scaling(quick: bool, repeats: int = 2) -> Dict[str, object]:
         for num_shards in SHARD_COUNTS:
             point, deployment = _sharded_point(num_shards, per_client)
             points.append(point)
-            events_total += _events_run(deployment)
+            events_total += deployment.scheduler.events_run
             requests_total += point["requests"]
         walls.append(time.perf_counter() - start)
         sweeps.append(points)
@@ -529,7 +519,7 @@ def run_edge_read(quick: bool, repeats: int = 2) -> Dict[str, object]:
         cluster, requests, chain = _edge_read_once(warm_reads,
                                                    degraded_reads)
         walls.append(time.perf_counter() - start)
-        events_total += _events_run(cluster)
+        events_total += cluster.scheduler.events_run
         requests_total += requests
         chains.append(chain)
     for other in chains[1:]:
@@ -610,7 +600,7 @@ def run_scenario(name: str, quick: bool, repeats: int) -> Dict[str, object]:
             start = time.perf_counter()
             cluster, requests = fn(seed=rep, scale=scale)
             walls.append(time.perf_counter() - start)
-            events_total += _events_run(cluster)
+            events_total += cluster.scheduler.events_run
             requests_total += requests
             acc.merge(cluster.metrics)
     finally:
@@ -665,7 +655,6 @@ def run_all(quick: bool = False, repeats: Optional[int] = None,
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "scheduler_backend": DEFAULT_BACKEND,
         "scenarios": scenarios,
     }
 
@@ -716,7 +705,6 @@ _TOP_FIELDS = {
     "mode": str,
     "python": str,
     "platform": str,
-    "scheduler_backend": str,
     "scenarios": dict,
 }
 

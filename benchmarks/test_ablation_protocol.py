@@ -14,8 +14,8 @@ import pytest
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.harness import costs as C
+from repro.harness.cluster import build_cluster
 from repro.workloads.microbench import (
-    build_kv_cluster,
     concurrent_ops,
     sequential_ops,
 )
@@ -28,9 +28,10 @@ def _config(**kw):
 
 
 def _cluster(**kw):
-    return build_kv_cluster(config=_config(**kw),
-                            network_config=C.lan_network(),
-                            costs=C.PROTOCOL_COSTS)
+    return build_cluster(lambda i: InMemoryStateManager(),
+                         config=_config(**kw),
+                         network_config=C.lan_network(),
+                         costs=C.PROTOCOL_COSTS)
 
 
 def test_ablation_batching(benchmark):

@@ -19,15 +19,18 @@ from repro.sql import (
     BTreeStoreEngine,
     HashStoreEngine,
     SqlEngineError,
-    build_base_sql,
 )
+from repro.service.deploy import ReplicatedDeployment
+from repro.sql.service import SQL_SERVICE
 
 
 def main():
-    cluster, db = build_base_sql(
+    deployment = ReplicatedDeployment.build(
+        SQL_SERVICE,
         [HashStoreEngine, BTreeStoreEngine,
          HashStoreEngine, BTreeStoreEngine],
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3))
+    cluster, db = deployment.cluster, deployment.client
     print("replicas run:", ", ".join(
         type(r.state.upcalls.engine).vendor for r in cluster.replicas))
 

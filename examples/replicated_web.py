@@ -19,16 +19,19 @@ from repro.http import (
     HttpClient,
     HttpStatus,
     NginxLikeServer,
-    build_base_http,
 )
 from repro.http.engine import HttpError
+from repro.http.service import HTTP_SERVICE
+from repro.service.deploy import ReplicatedDeployment
 
 
 def main():
-    cluster, web = build_base_http(
+    deployment = ReplicatedDeployment.build(
+        HTTP_SERVICE,
         [ApacheLikeServer, NginxLikeServer,
          ApacheLikeServer, NginxLikeServer],
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3))
+    cluster, web = deployment.cluster, deployment.client
     print("replicas run:", ", ".join(
         type(r.state.upcalls.server).vendor for r in cluster.replicas))
 

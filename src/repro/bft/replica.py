@@ -854,9 +854,13 @@ class Replica(Node):
         client reply cache from the local checkpoint at ``last_stable``
         and un-marks every retained slot as executed so ``try_execute``
         replays the new view's order.  Falls back to state transfer when
-        no local checkpoint survives (e.g. it was itself discarded)."""
+        no local checkpoint survives (e.g. it was itself discarded), and
+        during proactive recovery, whose fetch-and-check may be midway
+        through rebuilding the backend: replaying only the checkpoint's
+        delta onto a half-rebuilt backend is unsound."""
         seq = self.last_stable
-        restored = self.state.restore_checkpoint(seq)
+        restored = (not self.recovery.recovering
+                    and self.state.restore_checkpoint(seq))
         table = self.table_checkpoints.get(seq)
         if not restored or table is None:
             self.trace("rollback_via_transfer", seq=seq)

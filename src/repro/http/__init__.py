@@ -13,7 +13,7 @@ agreed version counters and pins PROPFIND ordering.
 
 from repro.http.engine import ApacheLikeServer, NginxLikeServer, HttpStatus
 from repro.http.wrapper import HttpConformanceWrapper
-from repro.http.service import HttpClient, build_base_http, build_http_std
+from repro.http.service import HttpClient
 
 __all__ = [
     "ApacheLikeServer",
@@ -21,6 +21,4 @@ __all__ = [
     "HttpConformanceWrapper",
     "HttpStatus",
     "NginxLikeServer",
-    "build_base_http",
-    "build_http_std",
 ]

@@ -17,15 +17,15 @@ Layers (paper Figure 3):
   the state-conversion functions (``get_obj`` / ``put_objs``);
 - :mod:`repro.nfs.client` — a simulated kernel NFS client (attribute and
   lookup caching) that can mount either BASEFS or an unreplicated backend;
-- :mod:`repro.nfs.service` — cluster builders for BASEFS and the
-  unreplicated NFS-std baseline.
+- :mod:`repro.nfs.service` — the service definition from which
+  :mod:`repro.service.deploy` builds BASEFS and the unreplicated
+  NFS-std baseline.
 """
 
 from repro.nfs.protocol import Fattr, FileType, NfsError, NfsStatus
 from repro.nfs.spec import AbstractSpecConfig
 from repro.nfs.wrapper import NfsConformanceWrapper
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs, build_nfs_std
 
 __all__ = [
     "AbstractSpecConfig",
@@ -35,6 +35,4 @@ __all__ = [
     "NfsConformanceWrapper",
     "NfsError",
     "NfsStatus",
-    "build_basefs",
-    "build_nfs_std",
 ]

@@ -15,8 +15,7 @@ kernel:
   transaction meta-ops behind cross-shard atomic commit;
 - :mod:`repro.service.deploy` — composable :class:`Deployment` objects
   (replicated, unreplicated) over a declarative
-  :class:`ServiceDefinition`, with the legacy tuple-returning builders
-  kept as thin shims;
+  :class:`ServiceDefinition`;
 - :mod:`repro.service.sharding` — :class:`ShardedDeployment`: N
   independent BASE groups on one simulation fabric behind the
   deterministic :class:`ShardRouter` (see ``docs/SHARDING.md``);
@@ -46,8 +45,6 @@ from repro.service.deploy import (
     ShardKeySpec,
     UnreplicatedDeployment,
     WrapperContext,
-    build_replicated,
-    build_unreplicated,
 )
 from repro.service.sharding import (
     CrossShardOp,
@@ -88,8 +85,6 @@ __all__ = [
     "TxnAborted",
     "UnreplicatedDeployment",
     "WrapperContext",
-    "build_replicated",
-    "build_unreplicated",
     "get_service",
     "load_all",
     "op",

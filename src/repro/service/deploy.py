@@ -1,12 +1,11 @@
 """Composable deployments of a registered service.
 
-Each service used to carry a near-identical ``build_base_*`` /
-``build_*_std`` pair: the replicated builder wired wrapper factories
-into :func:`~repro.base.library.build_base_cluster` and wrapped a
-:class:`~repro.bft.client.SyncClient`; the baseline builder stood up a
+The replicated path wires a service's wrapper factories into
+:func:`~repro.base.library.build_base_cluster` and wraps a
+:class:`~repro.bft.client.SyncClient`; the baseline path stands up a
 scheduler, a network, a request/response server node, and a client node
-with its own nonce/mailbox plumbing.  This module implements both paths
-once, as first-class :class:`Deployment` objects over a declarative
+with its own nonce/mailbox plumbing.  This module implements both once,
+as first-class :class:`Deployment` objects over a declarative
 :class:`ServiceDefinition`:
 
 - :class:`ReplicatedDeployment` — one BASE group (four conformance
@@ -15,10 +14,6 @@ once, as first-class :class:`Deployment` objects over a declarative
 - :class:`~repro.service.sharding.ShardedDeployment` — N independent
   replicated groups on one simulation fabric behind a deterministic
   shard router (see :mod:`repro.service.sharding`).
-
-The legacy ``build_replicated``/``build_unreplicated`` functions remain
-as thin shims returning the historical tuples, so the per-service
-``build_*`` registrations and every existing caller keep working.
 
 Clients talk to any deployment through a :class:`Channel` — ``call``
 one canonical-encoded op, ``charge`` client CPU, read ``now`` — so each
@@ -391,36 +386,3 @@ class UnreplicatedDeployment(Deployment):
                    client=make_client(channel),
                    backend=direct.backend, server=node)
 
-
-# -- legacy tuple shims -------------------------------------------------------------
-
-
-def build_replicated(definition: ServiceDefinition,
-                     backend_classes: Optional[Sequence[Optional[type]]] = None,
-                     *,
-                     config: Optional[BftConfig] = None,
-                     base_config: Optional[BaseServiceConfig] = None,
-                     network_config: Optional[NetworkConfig] = None,
-                     replica_costs: Optional[List[CostModel]] = None,
-                     client_id: Optional[str] = None,
-                     seed: int = 0,
-                     **options: Any) -> Tuple[Cluster, Any]:
-    """Historical entry point: build and return ``(cluster, client)``."""
-    deployment = ReplicatedDeployment.build(
-        definition, backend_classes, config=config, base_config=base_config,
-        network_config=network_config, replica_costs=replica_costs,
-        client_id=client_id, seed=seed, **options)
-    return deployment.cluster, deployment.client
-
-
-def build_unreplicated(definition: ServiceDefinition,
-                       backend_class: Optional[type] = None,
-                       *,
-                       network_config: Optional[NetworkConfig] = None,
-                       seed: int = 0,
-                       **options: Any) -> Tuple[Any, Any]:
-    """Historical entry point: build and return ``(backend, client)``."""
-    deployment = UnreplicatedDeployment.build(
-        definition, backend_class, network_config=network_config, seed=seed,
-        **options)
-    return deployment.backend, deployment.client

@@ -9,7 +9,7 @@ digests, messages), the bounded event ring, and the
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -61,7 +61,6 @@ class Tracer:
         self.counters: Counter = Counter()
         self.dropped_events = 0
         self.metrics = Metrics()
-        self._timings: Dict[str, List[float]] = defaultdict(list)
         self._clock = clock
 
     # -- clock ----------------------------------------------------------------
@@ -88,13 +87,6 @@ class Tracer:
     def count(self, kind: str, n: int = 1) -> None:
         self.counters[kind] += n
 
-    def record_timing(self, label: str, seconds: float) -> None:
-        self._timings[label].append(seconds)
-        self.metrics.observe(label, seconds)
-
-    def timings(self, label: str) -> List[float]:
-        return self._timings.get(label, [])
-
     def find(self, kind: str, source: Optional[Any] = None) -> List[TraceEvent]:
         return [e for e in self.events
                 if e.kind == kind and (source is None or e.source == source)]
@@ -108,7 +100,6 @@ class Tracer:
     def clear(self) -> None:
         self.events.clear()
         self.counters.clear()
-        self._timings.clear()
         self.metrics.clear()
         self.dropped_events = 0
 

@@ -12,8 +12,8 @@ ODBC standard."  This package does exactly that, in miniature:
   are identified by (table, pk); errors are virtualized) and a
   conformance wrapper built on the reusable
   :mod:`repro.base.mappings` library;
-- service builders for the replicated deployment and the unreplicated
-  baseline.
+- a service definition from which :mod:`repro.service.deploy` builds
+  the replicated deployment and the unreplicated baseline.
 """
 
 from repro.sql.engine import (
@@ -23,7 +23,7 @@ from repro.sql.engine import (
     SqlEngineError,
 )
 from repro.sql.wrapper import SqlConformanceWrapper
-from repro.sql.service import SqlClient, build_base_sql, build_sql_std
+from repro.sql.service import SqlClient
 
 __all__ = [
     "BTreeStoreEngine",
@@ -32,6 +32,4 @@ __all__ = [
     "SqlConformanceWrapper",
     "SqlEngine",
     "SqlEngineError",
-    "build_base_sql",
-    "build_sql_std",
 ]

@@ -1,20 +1,15 @@
-"""Registration, client, and builders for the relational service.
+"""Registration and client for the relational service.
 
 The service is declared once as a :class:`ServiceDefinition`; both
 deployments come from the shared code paths in
-:mod:`repro.service.deploy`.  ``build_base_sql``/``build_sql_std`` are
-kept as thin typed shims over them.
+:mod:`repro.service.deploy`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import Tuple
 
-from repro.base.library import BaseServiceConfig
-from repro.bft.config import BftConfig
-from repro.bft.costs import CostModel
 from repro.encoding.canonical import canonical, decanonical
-from repro.harness.cluster import Cluster
 from repro.service.deploy import (
     Channel,
     DirectService,
@@ -22,12 +17,9 @@ from repro.service.deploy import (
     ServiceDefinition,
     ShardKeySpec,
     WrapperContext,
-    build_replicated,
-    build_unreplicated,
 )
 from repro.service.registry import register
-from repro.sim.network import NetworkConfig
-from repro.sql.engine import BTreeStoreEngine, SqlEngine, SqlEngineError
+from repro.sql.engine import BTreeStoreEngine, SqlEngineError
 from repro.sql.wrapper import SqlConformanceWrapper
 
 #: Ops eligible for BFT's read-only path — read straight off the
@@ -122,31 +114,3 @@ SQL_SERVICE = register(ServiceDefinition(
     shard_key=ShardKeySpec(extract=_shard_key, axis="table name"),
 ))
 
-
-# -- legacy builder shims ------------------------------------------------------------
-
-
-def build_base_sql(engine_classes: Sequence[Type[SqlEngine]],
-                   array_size: int = 512,
-                   config: Optional[BftConfig] = None,
-                   network_config: Optional[NetworkConfig] = None,
-                   replica_costs: Optional[List[CostModel]] = None,
-                   per_op_cost: float = 0.0,
-                   branching: int = 16,
-                   clean_recovery: bool = False,
-                   seed: int = 0) -> Tuple[Cluster, SqlClient]:
-    """Replicated deployment; mix engine classes for N-version operation."""
-    return build_replicated(
-        SQL_SERVICE, list(engine_classes), config=config,
-        base_config=BaseServiceConfig(branching=branching),
-        network_config=network_config, replica_costs=replica_costs,
-        seed=seed, array_size=array_size, per_op_cost=per_op_cost,
-        clean_recovery=clean_recovery)
-
-
-def build_sql_std(engine_class: Optional[Type[SqlEngine]] = None,
-                  network_config: Optional[NetworkConfig] = None,
-                  seed: int = 0) -> Tuple[SqlEngine, SqlClient]:
-    """Unreplicated baseline (one engine behind the same wire surface)."""
-    return build_unreplicated(SQL_SERVICE, engine_class,
-                              network_config=network_config, seed=seed)

@@ -21,7 +21,6 @@ from repro.thor.objects import ObjectRecord
 from repro.thor.server import ThorServer, ThorServerConfig
 from repro.thor.client import ThorClient, TransactionAborted
 from repro.thor.wrapper import ThorConformanceWrapper
-from repro.thor.service import build_base_thor, build_thor_std
 
 __all__ = [
     "ObjectRecord",
@@ -30,8 +29,6 @@ __all__ = [
     "ThorServer",
     "ThorServerConfig",
     "TransactionAborted",
-    "build_base_thor",
-    "build_thor_std",
     "make_oref",
     "oref_onum",
     "oref_pagenum",

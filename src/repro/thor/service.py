@@ -1,19 +1,14 @@
-"""Registration, transports, and builders for BASE-Thor and the baseline.
+"""Registration and transports for BASE-Thor and the baseline.
 
 Declared once as a :class:`ServiceDefinition`; both deployments come
 from the shared code paths in :mod:`repro.service.deploy`.
-``build_base_thor``/``build_thor_std`` are kept as thin typed shims.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Tuple
 
-from repro.base.library import BaseServiceConfig
-from repro.bft.config import BftConfig
-from repro.bft.costs import CostModel
 from repro.encoding.canonical import canonical, decanonical
-from repro.harness.cluster import Cluster
 from repro.service.deploy import (
     BROADCAST,
     Channel,
@@ -22,11 +17,8 @@ from repro.service.deploy import (
     ServiceDefinition,
     ShardKeySpec,
     WrapperContext,
-    build_replicated,
-    build_unreplicated,
 )
 from repro.service.registry import register
-from repro.sim.network import NetworkConfig
 from repro.thor.client import ThorTransport
 from repro.thor.server import ThorServer, ThorServerConfig
 from repro.thor.wrapper import ThorConformanceWrapper
@@ -170,47 +162,3 @@ THOR_SERVICE = register(ServiceDefinition(
     shard_key=ShardKeySpec(extract=_thor_shard_key, axis="page number"),
 ))
 
-
-# -- legacy builder shims ------------------------------------------------------------
-
-
-def build_base_thor(num_pages: int,
-                    db_loader: Callable[[ThorServer], None],
-                    server_config: Optional[ThorServerConfig] = None,
-                    config: Optional[BftConfig] = None,
-                    max_clients: int = 16,
-                    replica_costs: Optional[List[CostModel]] = None,
-                    network_config: Optional[NetworkConfig] = None,
-                    branching: int = 64,
-                    per_object_check_cost: float = 0.0,
-                    checkpoint_cost: float = 0.0,
-                    cow_cost: float = 0.0,
-                    op_cost: float = 0.0,
-                    commit_byte_cost: float = 0.0,
-                    client_id: str = "thor-client",
-                    seed: int = 0) -> Tuple[Cluster, BaseThorTransport]:
-    """Four replicas of the *same* nondeterministic Thor server."""
-    return build_replicated(
-        THOR_SERVICE, config=config or BftConfig(n=4),
-        base_config=BaseServiceConfig(
-            branching=branching,
-            per_object_check_cost=per_object_check_cost,
-            checkpoint_cost=checkpoint_cost,
-            cow_cost=cow_cost),
-        network_config=network_config, replica_costs=replica_costs,
-        client_id=client_id, seed=seed,
-        num_pages=num_pages, db_loader=db_loader,
-        server_config=server_config, max_clients=max_clients,
-        op_cost=op_cost, commit_byte_cost=commit_byte_cost)
-
-
-def build_thor_std(db_loader: Callable[[ThorServer], None],
-                   server_config: Optional[ThorServerConfig] = None,
-                   network_config: Optional[NetworkConfig] = None,
-                   op_cost: float = 0.0,
-                   seed: int = 0) -> Tuple[ThorServer, DirectThorTransport]:
-    return build_unreplicated(THOR_SERVICE,
-                              network_config=network_config, seed=seed,
-                              db_loader=db_loader,
-                              server_config=server_config,
-                              op_cost=op_cost)

@@ -8,11 +8,9 @@ checkpoints) the way Castro & Liskov's micro-benchmarks do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
 
-from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
-from repro.harness.cluster import Cluster, build_cluster
+from repro.harness.cluster import Cluster
 
 
 @dataclass
@@ -30,16 +28,6 @@ class MicroResult:
     @property
     def throughput(self) -> float:
         return self.operations / self.elapsed if self.elapsed else 0.0
-
-
-def build_kv_cluster(config: Optional[BftConfig] = None, size: int = 64,
-                     network_config=None, costs=None,
-                     seed: int = 0) -> Cluster:
-    from repro.bft.costs import ZERO_COSTS
-    return build_cluster(lambda i: InMemoryStateManager(size=size),
-                         config=config or BftConfig(),
-                         network_config=network_config,
-                         costs=costs or ZERO_COSTS, seed=seed)
 
 
 def sequential_ops(cluster: Cluster, count: int, label: str,

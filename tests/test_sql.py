@@ -8,7 +8,8 @@ from repro.sql.engine import (
     HashStoreEngine,
     SqlEngineError,
 )
-from repro.sql.service import build_base_sql, build_sql_std
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
+from repro.sql.service import SQL_SERVICE
 from repro.sql.wrapper import SqlConformanceWrapper
 from repro.base.state import AbstractStateManager
 
@@ -154,10 +155,12 @@ def test_drop_table_frees_rows():
 
 def test_replicated_sql_n_version():
     """Two engine vendors, four replicas, one relational service."""
-    cluster, client = build_base_sql(
+    deployment = ReplicatedDeployment.build(
+        SQL_SERVICE,
         [HashStoreEngine, BTreeStoreEngine, HashStoreEngine,
          BTreeStoreEngine],
         config=BftConfig(n=4, checkpoint_interval=8), array_size=64)
+    cluster, client = deployment.cluster, deployment.client
     client.create_table("accounts", ("id", "owner", "balance"), "id")
     for i in (3, 1, 2):
         client.insert("accounts", (i, "owner%d" % i, 100 * i))
@@ -176,10 +179,10 @@ def test_replicated_sql_n_version():
 
 
 def test_replicated_matches_unreplicated():
-    cluster, replicated = build_base_sql(
-        [HashStoreEngine] * 4, config=BftConfig(n=4, checkpoint_interval=8),
-        array_size=64)
-    _, direct = build_sql_std(HashStoreEngine)
+    replicated = ReplicatedDeployment.build(
+        SQL_SERVICE, [HashStoreEngine] * 4,
+        config=BftConfig(n=4, checkpoint_interval=8), array_size=64).client
+    direct = UnreplicatedDeployment.build(SQL_SERVICE, HashStoreEngine).client
     for client in (replicated, direct):
         client.create_table("t", ("k", "v"), "k")
         for k in (7, 3, 5):
@@ -190,11 +193,13 @@ def test_replicated_matches_unreplicated():
 
 
 def test_replicated_sql_survives_recovery():
-    cluster, client = build_base_sql(
+    deployment = ReplicatedDeployment.build(
+        SQL_SERVICE,
         [HashStoreEngine, BTreeStoreEngine, HashStoreEngine,
          BTreeStoreEngine],
         config=BftConfig(n=4, checkpoint_interval=8, reboot_delay=0.3),
         array_size=64)
+    cluster, client = deployment.cluster, deployment.client
     client.create_table("t", ("k", "v"), "k")
     for k in range(10):
         client.insert("t", (k, "v%d" % k))

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 from repro.thor.client import ThorClient, TransactionAborted
 from repro.thor.objects import ObjectRecord
 from repro.thor.orefs import make_oref
 from repro.thor.pages import Page
 from repro.thor.server import ThorServerConfig
-from repro.thor.service import build_base_thor, build_thor_std
+from repro.thor.service import THOR_SERVICE
 
 NUM_PAGES = 8
 
@@ -27,9 +29,11 @@ def small_config():
 
 @pytest.fixture
 def base_thor():
-    cluster, transport = build_base_thor(
-        NUM_PAGES, load_db, config=small_config(), branching=8,
+    deployment = ReplicatedDeployment.build(
+        THOR_SERVICE, num_pages=NUM_PAGES, db_loader=load_db,
+        config=small_config(), base_config=BaseServiceConfig(branching=8),
         server_config=ThorServerConfig(cache_pages=2, mob_bytes=400))
+    cluster, transport = deployment.cluster, deployment.client
     client = ThorClient(transport, "alice")
     client.start_session()
     return cluster, transport, client
@@ -136,8 +140,9 @@ def test_recovery_restores_lost_mob_state(base_thor):
 
 
 def test_thor_std_baseline_same_semantics():
-    server, transport = build_thor_std(load_db)
-    client = ThorClient(transport, "alice")
+    deployment = UnreplicatedDeployment.build(THOR_SERVICE, db_loader=load_db)
+    server = deployment.backend
+    client = ThorClient(deployment.client, "alice")
     client.start_session()
     oref = make_oref(1, 1)
     client.run_transaction(lambda c: c.write(

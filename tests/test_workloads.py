@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.base.library import BaseServiceConfig
 from repro.bft.config import BftConfig
 from repro.nfs.backends import LinuxExt2Backend
 from repro.nfs.client import NfsClient
-from repro.nfs.service import build_basefs, build_nfs_std
+from repro.nfs.service import NFS_SERVICE
 from repro.nfs.spec import AbstractSpecConfig
+from repro.service.deploy import ReplicatedDeployment, UnreplicatedDeployment
 from repro.thor.client import ThorClient
 from repro.thor.server import ThorServer, ThorServerConfig
-from repro.thor.service import build_base_thor, build_thor_std
+from repro.thor.service import THOR_SERVICE
 from repro.workloads.andrew import AndrewBenchmark, AndrewConfig
 from repro.workloads.oo7 import OO7Benchmark, OO7Config, OO7Database
 
@@ -18,7 +20,8 @@ SMALL_ANDREW = AndrewConfig(copies=1, subdirs=("a", "b"),
 
 
 def test_andrew_all_phases_run_on_nfs_std():
-    _, transport = build_nfs_std(LinuxExt2Backend)
+    transport = UnreplicatedDeployment.build(NFS_SERVICE,
+                                             LinuxExt2Backend).client
     fs = NfsClient(transport)
     result = AndrewBenchmark(fs, SMALL_ANDREW).run()
     assert set(result.phase_seconds) == {1, 2, 3, 4, 5}
@@ -31,12 +34,14 @@ def test_andrew_all_phases_run_on_nfs_std():
 
 def test_andrew_runs_on_basefs_and_produces_same_tree():
     config = BftConfig(n=4, checkpoint_interval=16)
-    cluster, transport = build_basefs(
-        [LinuxExt2Backend] * 4, spec=AbstractSpecConfig(array_size=256),
-        config=config, branching=8)
+    transport = ReplicatedDeployment.build(
+        NFS_SERVICE, [LinuxExt2Backend] * 4,
+        spec=AbstractSpecConfig(array_size=256), config=config,
+        base_config=BaseServiceConfig(branching=8)).client
     fs = NfsClient(transport)
     AndrewBenchmark(fs, SMALL_ANDREW).run()
-    _, std_transport = build_nfs_std(LinuxExt2Backend)
+    std_transport = UnreplicatedDeployment.build(NFS_SERVICE,
+                                                 LinuxExt2Backend).client
     std_fs = NfsClient(std_transport)
     AndrewBenchmark(std_fs, SMALL_ANDREW).run()
     assert fs.read_file("/andrew0/a/a0.c") == \
@@ -45,7 +50,8 @@ def test_andrew_runs_on_basefs_and_produces_same_tree():
 
 
 def test_andrew_scaling_copies():
-    _, transport = build_nfs_std(LinuxExt2Backend)
+    transport = UnreplicatedDeployment.build(NFS_SERVICE,
+                                             LinuxExt2Backend).client
     fs = NfsClient(transport)
     AndrewBenchmark(fs, AndrewConfig(copies=3, subdirs=("s",),
                                      files_per_subdir=1)).run()
@@ -72,9 +78,11 @@ def test_oo7_shape_matches_config():
 def test_oo7_traversals_on_thor_std():
     config = OO7Config.tiny()
     db = OO7Database(config)
-    server, transport = build_thor_std(
-        db.load_into, ThorServerConfig(cache_pages=64, mob_bytes=1 << 20))
-    client = ThorClient(transport, "bench")
+    deployment = UnreplicatedDeployment.build(
+        THOR_SERVICE, db_loader=db.load_into,
+        server_config=ThorServerConfig(cache_pages=64, mob_bytes=1 << 20))
+    server = deployment.backend
+    client = ThorClient(deployment.client, "bench")
     client.start_session()
     bench = OO7Benchmark(db, client)
 
@@ -97,7 +105,8 @@ def test_oo7_traversals_on_thor_std():
 def test_oo7_t1_visits_full_graphs():
     config = OO7Config.tiny()
     db = OO7Database(config)
-    _, transport = build_thor_std(db.load_into)
+    transport = UnreplicatedDeployment.build(THOR_SERVICE,
+                                             db_loader=db.load_into).client
     client = ThorClient(transport, "bench")
     client.start_session()
     t1 = OO7Benchmark(db, client).t1()
@@ -113,11 +122,13 @@ def test_oo7_t1_visits_full_graphs():
 def test_oo7_on_base_thor():
     config = OO7Config.tiny()
     db = OO7Database(config)
-    cluster, transport = build_base_thor(
-        db.num_pages + 4, db.load_into,
+    deployment = ReplicatedDeployment.build(
+        THOR_SERVICE, num_pages=db.num_pages + 4, db_loader=db.load_into,
         server_config=ThorServerConfig(cache_pages=32, mob_bytes=1 << 20),
-        config=BftConfig(n=4, checkpoint_interval=32), branching=16)
-    client = ThorClient(transport, "bench")
+        config=BftConfig(n=4, checkpoint_interval=32),
+        base_config=BaseServiceConfig(branching=16))
+    cluster = deployment.cluster
+    client = ThorClient(deployment.client, "bench")
     client.start_session()
     bench = OO7Benchmark(db, client)
     t1 = bench.t1()
