@@ -481,6 +481,13 @@ def _edge_read_once(warm_reads: int, degraded_reads: int):
     tier = EdgeTier.for_cluster(cluster, delta=EDGE_READ_DELTA,
                                 read_timeout=0.05, failure_threshold=1,
                                 cooldown=3600.0, costs=C.PROTOCOL_COSTS)
+    records = []
+
+    def on_event(event) -> None:
+        if event.kind == "edge_read":
+            records.append(event.detail["record"])
+
+    tier.tracer.subscribe(on_event)
     for i in range(warm_reads):
         reply = tier.read(get(i % EDGE_READ_SLOTS))
         if reply.mode != LINEARIZABLE:
@@ -496,7 +503,7 @@ def _edge_read_once(warm_reads: int, degraded_reads: int):
             raise RuntimeError(f"edge_read degraded serve {i} came back "
                                f"{reply.mode}, expected bounded_stale")
     chain = b""
-    for record in tier.records:
+    for record in records:
         chain = _digest(chain + record.result_digest + record.mode.encode())
     return cluster, warm_reads + degraded_reads, chain.hex()
 

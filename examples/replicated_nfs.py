@@ -34,6 +34,13 @@ def main():
         base_config=BaseServiceConfig(branching=8))
     cluster = deployment.cluster
     fs = NfsClient(deployment.client)
+    transfers = []  # (replica, seq) of every completed state transfer
+
+    def on_event(event):
+        if event.kind == "transfer_complete":
+            transfers.append((event.source, event.detail["seq"]))
+
+    cluster.tracer.subscribe(on_event)
 
     print("replicas run:", ", ".join(
         r.state.upcalls.backend.vendor for r in cluster.replicas))
@@ -73,9 +80,10 @@ def main():
     repaired, _ = backend.read(main_fh, 0, 100)
     print(f"  after checkpoint + state transfer it reads: {repaired[:16]!r}")
     assert repaired.startswith(b'#include'), "corruption not repaired!"
-    transfers = cluster.tracer.find("transfer_complete",
-                                    source=victim.node_id)
-    print(f"  ({len(transfers)} state transfer(s) ran on {backend.vendor})")
+    victim_transfers = [seq for source, seq in transfers
+                        if source == victim.node_id]
+    print(f"  ({len(victim_transfers)} state transfer(s) ran on "
+          f"{backend.vendor})")
 
     # -- proactive recovery -------------------------------------------------------
     print("\ntriggering proactive recovery of the FreeBSD replica "

@@ -19,7 +19,6 @@ from repro.bft.config import BftConfig
 from repro.bft.costs import CostModel, ZERO_COSTS
 from repro.harness.cluster import Cluster, build_cluster
 from repro.sim.network import NetworkConfig
-from repro.sim.tracing import Tracer
 
 
 @dataclass
@@ -38,7 +37,6 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
                        network_config: Optional[NetworkConfig] = None,
                        costs: CostModel = ZERO_COSTS,
                        replica_costs: Optional[List[CostModel]] = None,
-                       tracer: Optional[Tracer] = None,
                        seed: int = 0,
                        scheduler=None,
                        network=None) -> Cluster:
@@ -61,8 +59,8 @@ def build_base_cluster(wrapper_factories: Sequence[Callable[[], Upcalls]],
 
     cluster = build_cluster(make_state, config=config,
                             network_config=network_config, costs=costs,
-                            replica_costs=replica_costs, tracer=tracer,
-                            seed=seed, scheduler=scheduler, network=network)
+                            replica_costs=replica_costs, seed=seed,
+                            scheduler=scheduler, network=network)
     # Wire CPU charging from wrappers through to their replica.  The
     # recovery check pass accounts its CPU to the recovery manager (it
     # overlaps fetch round-trips) rather than stalling the protocol.

@@ -37,6 +37,13 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.tracing import Tracer
 
+#: Grace before the client retransmits on a complete result-digest
+#: certificate with no full result: the designated replier's bytes are
+#: usually still in flight, so waiting a moment beats re-MACing and
+#: re-sending the request to every replica (a mute replier only costs
+#: this much extra before the nudge goes out).
+NUDGE_GRACE = 0.002
+
 
 @dataclass(frozen=True)
 class ReadCertificate:
@@ -91,7 +98,7 @@ class BftClient(Node):
         super().__init__(client_id, network)
         self.config = config
         self.registry = registry
-        self.tracer = tracer or Tracer(keep_events=False)
+        self.tracer = tracer or Tracer()
         self.costs = costs
         registry.enroll(client_id)
         self.view_estimate = 0
@@ -99,7 +106,7 @@ class BftClient(Node):
         self._pending: Optional[_PendingCall] = None
         self._retry_timer = self.make_timer(config.client_retry_timeout,
                                             self._on_retry)
-        self._nudge_timer = self.make_timer(config.client_nudge_grace,
+        self._nudge_timer = self.make_timer(NUDGE_GRACE,
                                             self._on_nudge_grace)
         self.requests_sent = 0
         self.retransmissions = 0       # timeout-driven (backoff escalates)
@@ -322,7 +329,7 @@ class BftClient(Node):
             # before retransmitting, so the common case costs nothing
             # and a mute replier only costs the grace.
             if not call.nudged and not self._nudge_timer.running:
-                self._nudge_timer.start(self.config.client_nudge_grace)
+                self._nudge_timer.start(NUDGE_GRACE)
             return
         # Read-only optimization: 2f+1 matching read-only replies.
         for rdigest, voters in call.ro_votes.items():
@@ -339,7 +346,7 @@ class BftClient(Node):
         self._last_accept = (path, tuple(sorted(voters)))
         self.tracer.metrics.inc(f"client.accept_{path}")
         self.tracer.emit(self.now, self.node_id, "result_accepted",
-                         request_id=call.request.request_id)
+                         request_id=call.request.request_id, result=result)
         self.tracer.observe_phase("request_to_reply",
                                   self.now - call.started_at)
         call.callback(result)

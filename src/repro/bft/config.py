@@ -7,6 +7,9 @@ from typing import List
 
 from repro.errors import ConfigurationError
 
+#: The log window spans this many checkpoint intervals past the low mark.
+LOG_WINDOW_CHECKPOINTS = 2
+
 
 @dataclass
 class BftConfig:
@@ -18,22 +21,12 @@ class BftConfig:
 
     n: int = 4
     checkpoint_interval: int = 128     # k: take a checkpoint every k requests
-    log_window_checkpoints: int = 2    # L = this many intervals past low mark
     batch_max: int = 16                # max requests per pre-prepare batch
-    max_outstanding: int = 1           # pre-prepares in flight per primary
     view_change_timeout: float = 5.0   # backup timer before suspecting primary
     client_retry_timeout: float = 2.0  # client retransmission timer
-    # Grace before the client retransmits on a complete result-digest
-    # certificate with no full result: the designated replier's bytes are
-    # usually still in flight, so waiting a moment beats re-MACing and
-    # re-sending the request to every replica (a mute replier only costs
-    # this much extra before the nudge goes out).
-    client_nudge_grace: float = 0.002
     read_only_optimization: bool = True
     tentative_reply_digests: bool = True  # only one replica sends full result
     tentative_execution: bool = True   # execute at prepared, reply tentative
-    adaptive_batching: bool = True     # grow/shrink batch bound from arrivals
-    batch_window_max: float = 0.002    # upper bound on the batch hold window
     reboot_delay: float = 30.0         # simulated reboot during recovery
     recovery_interval: float = 0.0     # watchdog period; 0 disables recovery
     recovery_stagger: float = 0.0      # offset between replicas' watchdogs
@@ -50,6 +43,19 @@ class BftConfig:
         if len(self.replica_ids) != self.n:
             raise ConfigurationError(
                 f"{len(self.replica_ids)} replica ids for n={self.n}")
+        if (self.recovery_interval > 0
+                and self.watchdog_period <= self.view_change_timeout):
+            # Recovery start and transfer completion both stop the
+            # view-change timer; a watchdog that fires at least that
+            # often keeps a stalled primary from ever being suspected.
+            raise ConfigurationError(
+                f"recovery watchdog period {self.watchdog_period} must "
+                f"exceed view_change_timeout {self.view_change_timeout}")
+
+    @property
+    def watchdog_period(self) -> float:
+        """Seconds between one replica's proactive recoveries."""
+        return max(self.recovery_interval, self.recovery_stagger * self.n)
 
     @property
     def f(self) -> int:
@@ -69,7 +75,7 @@ class BftConfig:
     @property
     def log_window(self) -> int:
         """High-water mark offset: seq numbers accepted in (h, h + window]."""
-        return self.checkpoint_interval * self.log_window_checkpoints
+        return self.checkpoint_interval * LOG_WINDOW_CHECKPOINTS
 
     def primary_of(self, view: int) -> str:
         """The primary replica for ``view`` (round-robin, as in BFT)."""

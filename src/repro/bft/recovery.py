@@ -60,6 +60,9 @@ class RecoveryManager:
         self._current: Optional[RecoveryRecord] = None
         self._fetch_started_at = 0.0
         self._empty_cert_replies: set = set()
+        # The epoch whose completion is already scheduled: a late empty
+        # certificate or transfer completion must not finish it twice.
+        self._finishing_epoch = 0
         #: CPU consumed by the state *check* (get_obj + digest of every
         #: abstract object).  Runs interleaved with fetch round-trips
         #: (paper: "checks are performed while waiting for replies"), so
@@ -68,20 +71,14 @@ class RecoveryManager:
         self.background_cpu = 0.0
         config = replica.config
         self._watchdog = replica.make_timer(config.recovery_interval or 1.0,
-                                            self._on_watchdog)
+                                            self.start_recovery)
         if config.recovery_interval > 0:
             # Stagger in *reverse* index order: primaries rotate forward
             # through views, so recovering backwards avoids the resonance
             # where every view's new primary is the next replica to reboot.
             index = config.n - 1 - config.replica_index(replica.node_id)
             first = config.recovery_interval + index * config.recovery_stagger
-            replica.after(first, self._arm)
-
-    def _arm(self) -> None:
-        self.start_recovery()
-
-    def _on_watchdog(self) -> None:
-        self.start_recovery()
+            replica.after(first, self.start_recovery)
 
     # -- the recovery sequence ---------------------------------------------------
 
@@ -124,7 +121,6 @@ class RecoveryManager:
         req = RecoveryRequest(r.node_id, self.epoch)
         r.sign_msg(req)
         r.multicast(r.other_replicas, req)
-        r.transfer.completion_callbacks.append(self._on_transfer_complete)
         r.transfer.solicit_certs()
 
     def note_empty_cert(self, src: str) -> None:
@@ -142,13 +138,18 @@ class RecoveryManager:
             r.state.refresh_dirty()
             self._finish_after_checks()
 
-    def _on_transfer_complete(self, seq: int) -> None:
-        if self.recovering:
+    def on_transfer_complete(self) -> None:
+        """State transfer installed a checkpoint; during fetch-and-check
+        that is the recovery's verified state."""
+        if self.recovering and not self.rebooting:
             self._finish_after_checks()
 
     def _finish_after_checks(self) -> None:
         """Complete once the background check CPU — overlapped with the
-        fetch round-trips — has also elapsed."""
+        fetch round-trips — has also elapsed (at most once per epoch)."""
+        if self._finishing_epoch == self.epoch:
+            return
+        self._finishing_epoch = self.epoch
         r = self.replica
         elapsed = r.now - self._fetch_started_at
         remaining = max(0.0, self.background_cpu - elapsed)
@@ -181,11 +182,9 @@ class RecoveryManager:
         r.try_execute()
 
     def _rearm(self) -> None:
-        if self.replica.config.recovery_interval > 0:
-            interval = self.replica.config.recovery_interval
-            stagger_span = self.replica.config.recovery_stagger * \
-                self.replica.config.n
-            self._watchdog.restart(max(interval, stagger_span))
+        config = self.replica.config
+        if config.recovery_interval > 0:
+            self._watchdog.restart(config.watchdog_period)
 
     # -- serving side ---------------------------------------------------------------
 

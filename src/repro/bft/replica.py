@@ -52,6 +52,11 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.tracing import Tracer
 
+#: Pre-prepares a primary keeps in flight before queueing into a batch.
+MAX_OUTSTANDING = 1
+#: Upper bound on the adaptive batch hold window (simulated seconds).
+BATCH_WINDOW_MAX = 0.002
+
 
 class Replica(Node):
     """One member of the replication group."""
@@ -64,7 +69,7 @@ class Replica(Node):
         self.config = config
         self.registry = registry
         self.state = state
-        self.tracer = tracer or Tracer(keep_events=False)
+        self.tracer = tracer or Tracer()
         self.costs = costs
         self._behavior: Behavior = HONEST
         registry.enroll(replica_id)
@@ -182,11 +187,6 @@ class Replica(Node):
         if value is not HONEST:
             value.bind(self)
         self._behavior = value
-
-    @property
-    def normal_operation(self) -> bool:
-        return (not self.view_changes.active and not self.recovery.recovering
-                and not self.transfer.active)
 
     def send(self, dst, msg, size=None):
         """Send with the Byzantine rewrite hook applied."""
@@ -326,8 +326,6 @@ class Replica(Node):
         result = self.behavior.corrupt_reply_result(result)
         self._reply(req.client_id, req.request_id, result, tentative=True,
                     force_full=True, read_only=True)
-        self.trace("read_only_executed", client=req.client_id,
-                   request_id=req.request_id)
 
     def handle_edge_read(self, src, msg: EdgeRead) -> None:
         """Serve a single-replica edge read with staleness evidence.
@@ -355,7 +353,6 @@ class Replica(Node):
         self.charge(self.costs.digest(len(result)))
         self.authenticate_for(reply, msg.edge_id)
         self.send(msg.edge_id, reply)
-        self.trace("edge_read_served", edge=msg.edge_id, nonce=msg.nonce)
 
     # -- primary: ordering ------------------------------------------------------------
 
@@ -370,25 +367,21 @@ class Replica(Node):
                 else 0.8 * ewma + 0.2 * gap
         self._last_request_at = now
 
-    def _batch_bound(self) -> int:
-        return (self._batch_target if self.config.adaptive_batching
-                else self.config.batch_max)
-
     def _should_hold_batch(self) -> bool:
         """Hold an undersized batch briefly when the arrival rate says
         more requests are imminent; never hold Poisson trickles (EWMA
         above the window cap) or once the hold window expired."""
-        if not self.config.adaptive_batching or self._hold_forced:
+        if self._hold_forced:
             return False
         if len(self.pending) >= self._batch_target:
             return False
         ewma = self._arrival_ewma
-        if ewma is None or ewma > self.config.batch_window_max:
+        if ewma is None or ewma > BATCH_WINDOW_MAX:
             return False
         if self._hold_event is not None and not self._hold_event.cancelled:
             return True
         deficit = self._batch_target - len(self.pending)
-        window = min(ewma * deficit, self.config.batch_window_max)
+        window = min(ewma * deficit, BATCH_WINDOW_MAX)
         self._hold_event = self.after(window, self._on_batch_hold)
         return True
 
@@ -418,7 +411,7 @@ class Replica(Node):
             # Batching: with the outstanding window full, arriving requests
             # queue in ``pending`` and ride the next pre-prepare together.
             outstanding = self.seq_assigned - self.last_executed
-            if outstanding >= self.config.max_outstanding:
+            if outstanding >= MAX_OUTSTANDING:
                 return
             if self.seq_assigned + 1 > self.high_mark:
                 return
@@ -428,8 +421,7 @@ class Replica(Node):
                 self._hold_event.cancel()
                 self._hold_event = None
             batch: List[Request] = []
-            bound = max(self._batch_bound(), 1)
-            while self.pending and len(batch) < bound:
+            while self.pending and len(batch) < self._batch_target:
                 key, req = self.pending.popitem(last=False)
                 batch.append(req)
             seq = self.seq_assigned + 1
@@ -671,8 +663,6 @@ class Replica(Node):
         result = self._safe_execute(req.op, req.client_id, req.request_id,
                                     seq, nondet)
         result = self.behavior.corrupt_reply_result(result)
-        self.trace("executed", seq=seq, client=req.client_id,
-                   request_id=req.request_id, tentative=tentative)
         self._reply(req.client_id, req.request_id, result,
                     tentative=tentative, seq=seq)
 
@@ -681,13 +671,21 @@ class Replica(Node):
                       read_only: bool = False) -> bytes:
         """Execute, mapping service exceptions to deterministic error
         results: a Byzantine client's malformed operation must not crash
-        replicas, and all correct replicas must produce the same reply."""
+        replicas, and all correct replicas must produce the same reply.
+
+        Every execution — ordered, read-only, or edge read, failed ones
+        included — emits one ``executed`` event carrying what this
+        replica *computed*: a wrong-reply behavior rewrites the reply
+        after this point, so a lying replica's event is its honest
+        computation."""
         try:
-            return self.state.execute(op, client_id, request_id, seq,
-                                      nondet, read_only=read_only)
+            result = self.state.execute(op, client_id, request_id, seq,
+                                        nondet, read_only=read_only)
         except Exception as exc:
-            self.trace("execute_error", error=type(exc).__name__)
-            return b"__error__:" + type(exc).__name__.encode("ascii")
+            result = b"__error__:" + type(exc).__name__.encode("ascii")
+        self.trace("executed", seq=seq, client=client_id,
+                   request_id=request_id, read_only=read_only, result=result)
+        return result
 
     def _reply(self, client_id: str, request_id: int, result: bytes,
                tentative: bool = False, seq: int = 0,
@@ -890,12 +888,6 @@ class Replica(Node):
             self._ckpt_retry_timer.stop()
         self.trace("rollback", seq=seq)
         self.tracer.metrics.inc("bft.rollback")
-        # One-shot completion hooks (FaultLab records RollbackEntry
-        # evidence through the same channel as state transfer).
-        callbacks = self.transfer.completion_callbacks
-        self.transfer.completion_callbacks = []
-        for cb in callbacks:
-            cb(seq)
         return True
 
     # -- view changes (delegated) --------------------------------------------------------

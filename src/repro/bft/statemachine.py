@@ -149,7 +149,6 @@ class InMemoryStateManager(StateManager):
         self.values: list = [b""] * size
         self._tree = PartitionTree(size, branching)
         self._checkpoints: Dict[int, Tuple[TreeSnapshot, list]] = {}
-        self.executed_ops: list = []
         for i in range(size):
             self._tree.set_leaf(i, digest(b""), 0)
 
@@ -173,7 +172,6 @@ class InMemoryStateManager(StateManager):
 
     def execute(self, op: bytes, client_id: str, request_id: int, seq: int,
                 nondet: bytes, read_only: bool = False) -> bytes:
-        self.executed_ops.append((client_id, request_id, seq, op))
         if op == b"":
             return b"null"
         decoded = self._OP_CACHE.get(op)

@@ -54,7 +54,6 @@ class StateTransferManager:
         self._progress = 0
         self._last_progress_seen = -1
         self._timer = replica.make_timer(self.RETRY_PERIOD, self._on_timeout)
-        self.completion_callbacks = []
         self.objects_fetched_total = 0
         self.bytes_fetched_total = 0
         self._cert_nonce = 0
@@ -351,9 +350,7 @@ class StateTransferManager:
                 objects=len(objects))
         r.tracer.observe_phase("state_transfer", r.now - self._started_at)
         r.tracer.metrics.inc("transfer.objects_fetched", len(objects))
-        callbacks, self.completion_callbacks = self.completion_callbacks, []
-        for cb in callbacks:
-            cb(self.target_seq)
+        r.recovery.on_transfer_complete()
         r.try_execute()
 
     # -- cert solicitation (recovery) ----------------------------------------------------------

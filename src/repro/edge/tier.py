@@ -20,10 +20,11 @@ per-shard *consistency-mode ladder*::
   **LAST_KNOWN_GOOD** from the expired cache — flagged, with no bound —
   or raises :class:`EdgeUnavailable` if it has never seen the key.
 
-Every reply is flagged ``(mode, staleness_bound, evidence)`` and logged
-to :attr:`EdgeTier.records` for the FaultLab ``staleness_contract``
-checker.  Half-open probes re-promote a healed shard back to the top of
-the ladder.
+Every reply is flagged ``(mode, staleness_bound, evidence)`` and emitted
+on the tier's tracer as an ``edge_read`` event carrying its
+:class:`~repro.edge.evidence.EdgeReadRecord`, which the FaultLab
+``staleness_contract`` checker subscribes to.  Half-open probes
+re-promote a healed shard back to the top of the ladder.
 
 Like :class:`~repro.bft.client.SyncClient`, :meth:`EdgeTier.read` drives
 the scheduler and must only be called from *outside* event context —
@@ -162,14 +163,13 @@ class EdgeTier:
             raise ValueError("need at least one replication group")
         self.scheduler = scheduler
         self.network = network
-        self.tracer = tracer or Tracer(keep_events=False)
+        self.tracer = tracer or Tracer()
         self.edge_id = edge_id
         self.delta = delta
         self.read_timeout = read_timeout
         self.refresh_timeout = refresh_timeout
         self.refresh_attempts = refresh_attempts
         self.cache = EdgeCache(lambda: scheduler.now, delta)
-        self.records: List[EdgeReadRecord] = []
         self._spec = None    # ShardKeySpec (key extraction only)
         self._router = None  # ShardRouter (extraction + shard routing)
         self.ports: List[_ShardPort] = []
@@ -337,10 +337,11 @@ class EdgeTier:
     def _serve(self, port: _ShardPort, op: bytes, axis_key: Any, mode: str,
                bound: Optional[float], result: bytes,
                evidence: Optional[StalenessEvidence]) -> EdgeReply:
-        self.records.append(EdgeReadRecord(
+        record = EdgeReadRecord(
             op_digest=digest(op), result_digest=digest(result),
             key=axis_key, shard=port.shard, mode=mode, staleness_bound=bound,
-            served_at=self.now, evidence=evidence))
+            served_at=self.now, evidence=evidence)
+        self.tracer.emit(self.now, self.edge_id, "edge_read", record=record)
         return EdgeReply(result, mode, bound, evidence)
 
     # -- fetch paths -------------------------------------------------------

@@ -7,7 +7,10 @@ plan, then quiesce, settle, and run the invariant suite.  Everything —
 plan, network jitter, workload contents — derives from the (scenario,
 seed) pair through string-seeded ``random.Random`` instances, so
 re-running the pair reproduces the trial bit for bit; that is what makes
-``replay`` and the shrinker trustworthy.
+``replay`` and the shrinker trustworthy.  The invariant suite's evidence
+— executions, rollbacks, accepted replies, edge reads — comes from
+subscribers on the trial cluster's tracer: FaultLab reads only what the
+protocol emits and patches no replica or client.
 
 The **shrinker** takes a failing (plan, seed) and greedily drops one
 fault term at a time, re-running the trial after each drop and keeping
@@ -165,51 +168,40 @@ def replay_command(scenario: str, seed: int,
 # -- evidence capture ---------------------------------------------------------------
 
 
-def _record_executions(cluster, exec_log: ExecutionLog) -> None:
-    """Shim every replica's ``_safe_execute`` to log what it *computed*
-    (pre-corruption: a wrong-reply behavior rewrites the reply after this
-    point, so a lying replica's entry is its honest computation — which
-    is exactly what reply-validity must compare accepted replies to)."""
-    for replica in cluster.replicas:
-        log = exec_log.setdefault(replica.node_id, [])
-        original = replica._safe_execute
+def _subscribe_evidence(cluster):
+    """Build the trial's evidence streams from what the cluster's
+    protocol emits; returns ``(executions, accepted)``.
 
-        def shim(op, client_id, request_id, seq, nondet, read_only=False,
-                 _original=original, _log=log):
-            result = _original(op, client_id, request_id, seq, nondet,
-                               read_only=read_only)
-            _log.append(ExecutionEntry(seq, client_id, request_id,
-                                       digest(result), read_only))
-            return result
+    Executions come from this cluster's replicas, each with the result
+    the replica computed (emitted before a wrong-reply behavior rewrites
+    it); a rollback or completed state transfer restores a checkpoint,
+    so re-execution past its :class:`RollbackEntry` supersedes rather
+    than conflicts.  Accepts count only from the clients present now."""
+    executions: ExecutionLog = {r.node_id: [] for r in cluster.replicas}
+    accepted: List[AcceptedReply] = []
+    clients = {client.node_id for client in cluster.clients.values()}
 
-        replica._safe_execute = shim
-        # A completed state transfer restores a checkpoint: mark the
-        # rollback so re-execution beyond it supersedes, not conflicts.
-        # Completion callbacks are one-shot, so the hook re-registers.
-        def make_hook(transfer, _log):
-            def hook(seq):
-                _log.append(RollbackEntry(seq))
-                transfer.completion_callbacks.append(hook)
-            return hook
+    def on_event(event) -> None:
+        detail = event.detail
+        if event.kind == "result_accepted":
+            if event.source in clients:
+                accepted.append(AcceptedReply(
+                    event.source, detail["request_id"],
+                    digest(detail["result"]), event.time))
+            return
+        log = executions.get(event.source)
+        if log is None:
+            return
+        if event.kind == "executed":
+            log.append(ExecutionEntry(detail["seq"], detail["client"],
+                                      detail["request_id"],
+                                      digest(detail["result"]),
+                                      detail["read_only"]))
+        elif event.kind in ("rollback", "transfer_complete"):
+            log.append(RollbackEntry(detail["seq"]))
 
-        replica.transfer.completion_callbacks.append(
-            make_hook(replica.transfer, log))
-
-
-def _record_accepts(cluster, accepted: List[AcceptedReply]) -> None:
-    """Shim every client's ``_accept`` to log the result it certified
-    (with its f+1 / 2f+1 vote already passed)."""
-    for client in cluster.clients.values():
-        original = client._accept
-
-        def shim(result, *args, _client=client, _original=original):
-            call = _client._pending
-            accepted.append(AcceptedReply(_client.node_id,
-                                          call.request.request_id,
-                                          digest(result), _client.now))
-            _original(result, *args)
-
-        client._accept = shim
+    cluster.tracer.subscribe(on_event)
+    return executions, accepted
 
 
 # -- cluster construction -----------------------------------------------------------
@@ -364,10 +356,16 @@ class _EdgeDriver:
         self.step = spec.pop("step", 0.05)
         self.slots = spec.pop("slots", 4)
         self.tier = EdgeTier.for_cluster(cluster, **spec)
+        self.records: List = []
+        self.tier.tracer.subscribe(self._on_event)
         # The injector resolves edge_partition faults against this.
         cluster.edge_node_ids = self.tier.edge_node_ids
         self.reads = 0
         self.unavailable = 0
+
+    def _on_event(self, event) -> None:
+        if event.kind == "edge_read":
+            self.records.append(event.detail["record"])
 
     def read_once(self) -> None:
         from repro.bft.statemachine import InMemoryStateManager
@@ -381,7 +379,7 @@ class _EdgeDriver:
 
     def mode_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for record in self.tier.records:
+        for record in self.records:
             counts[record.mode] = counts.get(record.mode, 0) + 1
         return counts
 
@@ -393,7 +391,7 @@ class _EdgeDriver:
         breaker_states = [(p.shard, p.breaker.state)
                           for p in self.tier.ports]
         return check_staleness_contract(
-            self.tier.records, histories, breaker_states,
+            self.records, histories, breaker_states,
             expect_repromotion=expect_repromotion)
 
 
@@ -411,10 +409,6 @@ def run_trial(scenario: ScenarioRef, seed: int,
         plan = scenario.plan(ctx.rng_for("plan"))
     cluster, sharded = _build(scenario, seed)
 
-    exec_log: ExecutionLog = {}
-    accepted: List[AcceptedReply] = []
-    _record_executions(cluster, exec_log)
-
     workload = scenario.workload or kv_workload
     scripts = []
     for c in range(scenario.n_clients):
@@ -430,7 +424,10 @@ def run_trial(scenario: ScenarioRef, seed: int,
     driver = openloop_duration = None
     if scenario.openloop:
         driver, openloop_duration = _build_openloop(cluster, scenario, ctx)
-    _record_accepts(cluster, accepted)
+    # No traffic has run yet.  Accepts count from the scripted clients
+    # and the open-loop pool only; the later convergence probe and the
+    # edge tier's client are not evidence.
+    executions, accepted = _subscribe_evidence(cluster)
 
     edge = None
     if scenario.edge is not None:
@@ -438,9 +435,8 @@ def run_trial(scenario: ScenarioRef, seed: int,
             raise ValueError(f"scenario {scenario.name!r}: the edge "
                              f"driver issues kv reads and needs "
                              f"service='kv'")
-        # Built after the evidence shims (edge-served executions land in
-        # the log as read-only entries) and before the injector arms, so
-        # an edge_partition fault can resolve the edge's node ids.
+        # Built before the injector arms, so an edge_partition fault can
+        # resolve the edge's node ids.
         edge = _EdgeDriver(cluster, scenario)
 
     injector = FaultInjector(cluster, plan)
@@ -478,7 +474,7 @@ def run_trial(scenario: ScenarioRef, seed: int,
     # boundary.  Fresh traffic is the protocol's only anti-entropy — a
     # replica left behind by the chaos only state-transfers when it sees
     # a stable checkpoint ahead of it, which this burst manufactures.
-    # The probe client is deliberately not evidence-instrumented.
+    # The probe client's accepts are deliberately not evidence.
     if scenario.expect_liveness:
         probe = scenario.probe or kv_probe
         prober = cluster.add_client("faultlab-probe")
@@ -504,7 +500,7 @@ def run_trial(scenario: ScenarioRef, seed: int,
         # time out, or shed) before the trial's deadline.
         scripts_done.append((driver.label, driver.drained))
     violations = check_all(
-        cluster, exec_log, accepted, correct_ids, scripts_done,
+        cluster, executions, accepted, correct_ids, scripts_done,
         scenario.expect_liveness, scenario.duration)
     if sharded is not None:
         violations.extend(_check_sharded(sharded, plan))

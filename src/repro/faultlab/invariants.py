@@ -1,9 +1,11 @@
 """Safety/liveness invariant checkers run against every FaultLab trial.
 
 The trial runner records two streams of evidence while the simulation
-runs — every execution at every replica (via a ``_safe_execute`` shim)
-and every reply the clients accepted (via a client ``_accept`` shim) —
-then hands them, plus the settled cluster, to the checkers:
+runs — every execution at every replica (its ``executed`` events, with
+``rollback`` and ``transfer_complete`` marking restored checkpoints) and
+every reply the clients accepted (their ``result_accepted`` events), both
+read by a subscriber on the cluster's tracer — then hands them, plus the
+settled cluster, to the checkers:
 
 - **agreement** — all correct replicas' committed op sequences are
   prefixes of one another: any sequence number executed by two correct

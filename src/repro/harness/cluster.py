@@ -76,7 +76,6 @@ def build_cluster(make_state: Callable[[int], StateManager],
                   network_config: Optional[NetworkConfig] = None,
                   costs: CostModel = ZERO_COSTS,
                   replica_costs: Optional[List[CostModel]] = None,
-                  tracer: Optional[Tracer] = None,
                   seed: int = 0,
                   scheduler: Optional[Scheduler] = None,
                   network: Optional[Network] = None) -> Cluster:
@@ -101,7 +100,7 @@ def build_cluster(make_state: Callable[[int], StateManager],
     elif network.scheduler is not scheduler:
         raise ValueError("network rides a different scheduler")
     registry = KeyRegistry()
-    tracer = tracer or Tracer()
+    tracer = Tracer()
     # Spans and phase observations measure *simulated* time.
     tracer.bind_clock(lambda: scheduler.now)
     replicas = []

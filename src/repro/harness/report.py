@@ -141,8 +141,9 @@ def run_selftest(ops: int = 25, verbose: bool = True) -> Metrics:
 
     Builds a 4-replica key-value group, runs a burst of writes and
     reads, then asserts that every normal-case phase histogram is
-    populated, that the tracer dropped nothing silently, and that the
-    JSON export round-trips.  Returns the populated registry.
+    populated, that a tracer subscriber saw one ``executed`` event per
+    replica per op, and that the JSON export round-trips.  Returns the
+    populated registry.
     """
     import json
 
@@ -150,11 +151,19 @@ def run_selftest(ops: int = 25, verbose: bool = True) -> Metrics:
     from repro.harness.cluster import build_cluster
 
     cluster = build_cluster(lambda i: InMemoryStateManager(size=16))
+    executed = []
+
+    def on_event(event) -> None:
+        if event.kind == "executed":
+            executed.append((event.source, event.detail["request_id"]))
+
+    cluster.tracer.subscribe(on_event)
     client = cluster.add_client("selftest")
     for i in range(ops):
         client.call(InMemoryStateManager.op_put(i % 8, b"v%d" % i))
     for i in range(5):
         client.call(InMemoryStateManager.op_get(i % 8), read_only=True)
+    cluster.run(1.0)  # replicas outside the accepting quorum catch up
 
     metrics = cluster.metrics
     for phase in ("request_to_pre_prepare", "pre_prepare_to_prepared",
@@ -163,8 +172,10 @@ def run_selftest(ops: int = 25, verbose: bool = True) -> Metrics:
         hist = metrics.histograms.get(f"phase.{phase}")
         assert hist is not None and hist.count > 0, \
             f"selftest: phase.{phase} never observed"
-    assert cluster.tracer.dropped_events == 0, \
-        "selftest: tracer dropped events on a short run"
+    assert sorted(executed) == sorted(
+        (r.node_id, request_id) for r in cluster.replicas
+        for request_id in range(1, ops + 6)), \
+        "selftest: not one executed event per replica per op"
     assert metrics.counter_value("client.requests") == ops + 5
 
     exported = json.loads(metrics.to_json())

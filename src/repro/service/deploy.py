@@ -36,7 +36,6 @@ from repro.harness.cluster import Cluster
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import Tracer
 
 
 class Channel:
@@ -288,7 +287,6 @@ class ReplicatedDeployment(Deployment):
               seed: int = 0,
               scheduler: Optional[Scheduler] = None,
               network: Optional[Network] = None,
-              tracer: Optional[Tracer] = None,
               **options: Any) -> "ReplicatedDeployment":
         """Build a BASE-replicated deployment of one registered service.
 
@@ -333,7 +331,7 @@ class ReplicatedDeployment(Deployment):
             [factory_for(i) for i in range(config.n)], config=config,
             base_config=base_config, network_config=network_config,
             replica_costs=replica_costs, seed=seed,
-            scheduler=scheduler, network=network, tracer=tracer)
+            scheduler=scheduler, network=network)
         clock_box["cluster"] = cluster
         if definition.wire_replica is not None:
             for replica in cluster.replicas:

@@ -14,8 +14,8 @@ The kernel is deliberately small:
   point-to-point and multicast message delivery between registered nodes.
 - :class:`~repro.sim.node.Node` — base class for protocol participants
   with timer helpers.
-- :class:`~repro.sim.tracing.Tracer` — structured event ring with
-  counters, used by the benchmark harness.
+- :class:`~repro.sim.tracing.Tracer` — event publishing to subscribers
+  (the evidence stream) plus the metrics registry.
 - :class:`~repro.sim.metrics.Metrics` — counters/gauges/histograms with
   percentile summaries, exportable as JSON or harness tables.
 """

@@ -1,17 +1,16 @@
-"""Structured event tracing, counters, and the metrics registry.
+"""Structured event publishing and the metrics registry.
 
 The :class:`Tracer` is the single observability object shared by a
 simulated cluster: protocol code emits events and per-phase latency
-observations into it, and the benchmark harness reads counters (MAC ops,
-digests, messages), the bounded event ring, and the
-:class:`~repro.sim.metrics.Metrics` registry out of it.
+observations into it.  Events go only to subscribers — the one evidence
+stream every consumer reads — and the benchmark harness reads the
+:class:`~repro.sim.metrics.Metrics` registry.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.metrics import Histogram, Metrics, Span
 
@@ -39,29 +38,20 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects protocol events, counters, and phase metrics.
+    """Publish/subscribe point for protocol events, plus phase metrics.
 
-    The benchmark harness uses counters (MAC ops, digests, disk reads,
-    messages) to attribute simulated time via the cost model; tests use
-    the event list to assert protocol behaviour (e.g. "a view change
-    happened", "replica 3 fetched 12 objects"); benchmarks read the
-    ``metrics`` registry for per-phase latency breakdowns.
-
-    Events live in a bounded ring: once ``max_events`` are retained the
-    oldest is evicted and ``dropped_events`` increments, so a long run
-    can never silently truncate the trace — ``find``/``first`` see the
-    most recent window and the drop count says how much history is gone.
+    Protocol code emits events; every consumer of them (FaultLab's
+    evidence streams, tests asserting "a view change happened", the
+    edge-read benchmark) is a subscriber.  Nothing is retained unless a
+    subscriber keeps it, and with no subscribers ``emit`` builds no
+    event at all.  Benchmarks read the ``metrics`` registry for
+    per-phase latency breakdowns and counters.
     """
 
-    def __init__(self, keep_events: bool = True, max_events: int = 200_000,
-                 clock: Optional[Callable[[], float]] = None):
-        self.keep_events = keep_events
-        self.max_events = max_events
-        self.events: Deque[TraceEvent] = deque(maxlen=max_events)
-        self.counters: Counter = Counter()
-        self.dropped_events = 0
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.metrics = Metrics()
         self._clock = clock
+        self._subscribers: List[Callable[[TraceEvent], None]] = []
 
     # -- clock ----------------------------------------------------------------
 
@@ -73,38 +63,21 @@ class Tracer:
     def now(self) -> float:
         return self._clock() if self._clock is not None else 0.0
 
-    # -- events and counters --------------------------------------------------
+    # -- events ---------------------------------------------------------------
+
+    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
+        """Call ``callback(event)`` for every later emit, in emit order."""
+        self._subscribers.append(callback)
 
     def emit(self, time: float, source: Any, kind: str, **detail: Any) -> None:
-        self.counters[kind] += 1
-        if not self.keep_events:
-            self.dropped_events += 1
+        if not self._subscribers:
             return
-        if len(self.events) == self.max_events:
-            self.dropped_events += 1
-        self.events.append(TraceEvent(time, source, kind, detail))
-
-    def count(self, kind: str, n: int = 1) -> None:
-        self.counters[kind] += n
-
-    def find(self, kind: str, source: Optional[Any] = None) -> List[TraceEvent]:
-        return [e for e in self.events
-                if e.kind == kind and (source is None or e.source == source)]
-
-    def first(self, kind: str) -> Optional[TraceEvent]:
-        for e in self.events:
-            if e.kind == kind:
-                return e
-        return None
+        event = TraceEvent(time, source, kind, detail)
+        for callback in self._subscribers:
+            callback(event)
 
     def clear(self) -> None:
-        self.events.clear()
-        self.counters.clear()
         self.metrics.clear()
-        self.dropped_events = 0
-
-    def summary(self) -> List[Tuple[str, int]]:
-        return sorted(self.counters.items())
 
     # -- metrics convenience --------------------------------------------------
 

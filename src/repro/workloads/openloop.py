@@ -25,7 +25,7 @@ This module provides:
   :class:`~repro.sim.metrics.Metrics` histograms, with timeouts,
   service errors, and shed requests all *counted against* the SLO
   (excluding failures from a latency SLO is how dashboards lie);
-- **A load-sweep controller** (:func:`walk_to_knee`, :func:`load_sweep`)
+- **A load-sweep controller** (:func:`walk_to_knee`)
   that walks offered load monotonically to find the knee of the
   latency-vs-throughput curve and reports the maximum sustainable
   request rate at a stated p95 SLO.
@@ -616,30 +616,6 @@ def run_load_point(cluster_factory: Callable[[int], Any], rate: float,
         sustainable=attainment >= target_attainment,
     )
     return point, cluster
-
-
-def load_sweep(cluster_factory: Callable[[int], Any],
-               rates: Sequence[float], duration: float, seed: int = 0,
-               progress: Optional[Callable[[str], None]] = None,
-               **point_kwargs: Any) -> LoadCurve:
-    """Run a fixed monotone ladder of offered rates."""
-    rates = sorted(rates)
-    classes = point_kwargs.get("classes") or default_kv_classes()
-    point_kwargs["classes"] = classes
-    curve = LoadCurve(slo_p95=max(c.slo_p95 for c in classes),
-                      target_attainment=point_kwargs.get("target_attainment",
-                                                         0.95))
-    for rate in rates:
-        point, _cluster = run_load_point(cluster_factory, rate, duration,
-                                         seed=seed, **point_kwargs)
-        curve.points.append(point)
-        if progress:
-            progress(f"offered {rate:g}/s -> achieved "
-                     f"{point.achieved_rate:.1f}/s p95 "
-                     f"{point.p95 * 1e3:.2f} ms attainment "
-                     f"{point.attainment:.3f}"
-                     f"{'' if point.sustainable else '  [SLO MISS]'}")
-    return curve
 
 
 def walk_to_knee(cluster_factory: Callable[[int], Any], start_rate: float,

@@ -15,6 +15,19 @@ def make_kv_cluster(n=4, checkpoint_interval=4, size=64, seed=0, **cfg_kwargs):
                          config=config, seed=seed)
 
 
+def record_events(tracer, *kinds):
+    """Subscribe to ``tracer``; returns the list every later event of
+    ``kinds`` (of any kind when none are named) is appended to."""
+    events = []
+
+    def on_event(event):
+        if not kinds or event.kind in kinds:
+            events.append(event)
+
+    tracer.subscribe(on_event)
+    return events
+
+
 @pytest.fixture
 def kv_cluster():
     return make_kv_cluster()

@@ -6,7 +6,7 @@ from repro.bft.messages import Reply
 from repro.bft.statemachine import InMemoryStateManager
 from repro.crypto.digest import digest
 from repro.crypto.mac import Authenticator
-from tests.conftest import make_kv_cluster
+from tests.conftest import make_kv_cluster, record_events
 
 
 def authed_reply(cluster, replica_id, client_id, request_id, result,
@@ -120,6 +120,7 @@ def test_read_only_falls_back_to_ordered_path():
     cluster = make_kv_cluster(client_retry_timeout=0.2)
     sync = cluster.add_client("client0")
     sync.call(put(3, b"fallback"))
+    pre_prepares = record_events(cluster.tracer, "pre_prepare_sent")
 
     def drop_tentative_replies(src, dst, msg):
         if (getattr(msg, "kind", "") == "reply" and msg.tentative
@@ -132,7 +133,7 @@ def test_read_only_falls_back_to_ordered_path():
     # out, downgrades to the ordered path, and gets the result.
     assert sync.call(get(3), read_only=True) == b"fallback"
     assert cluster.clients["client0"].retransmissions >= 2
-    assert cluster.tracer.find("pre_prepare_sent")
+    assert pre_prepares
 
 
 def test_stale_read_only_attempt_votes_never_survive_the_fallback():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bft.statemachine import InMemoryStateManager
-from tests.conftest import make_kv_cluster
+from tests.conftest import make_kv_cluster, record_events
 
 put = InMemoryStateManager.op_put
 get = InMemoryStateManager.op_get
@@ -31,11 +31,14 @@ def test_sequence_of_writes_all_replicas_agree(kv_cluster, kv_client):
 
 
 def test_replicas_execute_same_order(kv_cluster, kv_client):
+    executed = record_events(kv_cluster.tracer, "executed")
     for i in range(6):
         kv_client.call(put(i % 2, b"x%d" % i))
-    histories = [tuple(op for _, _, _, op in r.state.executed_ops)
+    histories = [tuple((e.detail["client"], e.detail["request_id"])
+                       for e in executed if e.source == r.node_id)
                  for r in kv_cluster.replicas]
     assert len(set(histories)) == 1
+    assert len(histories[0]) == 6
 
 
 def test_multiple_clients_interleave_consistently(kv_cluster):
@@ -51,33 +54,34 @@ def test_multiple_clients_interleave_consistently(kv_cluster):
 def test_client_accepts_with_quorum_of_matching_replies(kv_cluster, kv_client):
     # f=1: acceptance requires f+1=2 matching replies; just verify a normal
     # call accepted and the tracer saw executions at >= quorum replicas.
+    executed = record_events(kv_cluster.tracer, "executed")
     kv_client.call(put(0, b"x"))
-    executed = {e.source for e in kv_cluster.tracer.find("executed")}
-    assert len(executed) >= kv_cluster.config.quorum
+    assert len({e.source for e in executed}) >= kv_cluster.config.quorum
 
 
 def test_read_only_optimization_single_round(kv_cluster, kv_client):
     kv_client.call(put(5, b"ro"))
-    kv_cluster.tracer.clear()
+    events = record_events(kv_cluster.tracer, "pre_prepare_sent", "executed")
     result = kv_client.call(get(5), read_only=True)
     assert result == b"ro"
     # Read-only ops never go through ordering: no pre-prepare was sent.
-    assert not kv_cluster.tracer.find("pre_prepare_sent")
-    assert len(kv_cluster.tracer.find("read_only_executed")) >= \
-        kv_cluster.config.quorum
+    assert all(e.kind == "executed" and e.detail["read_only"]
+               for e in events)
+    assert len(events) >= kv_cluster.config.quorum
 
 
 def test_read_only_disabled_goes_through_ordering():
     cluster = make_kv_cluster(read_only_optimization=False)
     client = cluster.add_client("client0")
     client.call(put(1, b"v"))
-    cluster.tracer.clear()
+    pre_prepares = record_events(cluster.tracer, "pre_prepare_sent")
     assert client.call(get(1), read_only=True) == b"v"
-    assert cluster.tracer.find("pre_prepare_sent")
+    assert pre_prepares
 
 
 def test_request_deduplication_on_retransmit(kv_cluster, kv_client):
     """A retransmitted request must not execute twice."""
+    executed = record_events(kv_cluster.tracer, "executed")
     kv_client.call(put(0, b"first"))
     raw = kv_cluster.clients["client0"]
     # Simulate a stale duplicate arriving at the primary.
@@ -89,8 +93,9 @@ def test_request_deduplication_on_retransmit(kv_cluster, kv_client):
     kv_cluster.network.send("client0", kv_cluster.primary.node_id, dup)
     kv_cluster.run(1.0)
     for replica in kv_cluster.replicas:
-        writes = [op for _, _, _, op in replica.state.executed_ops
-                  if op == put(0, b"first")]
+        writes = [e for e in executed if e.source == replica.node_id
+                  and (e.detail["client"], e.detail["request_id"])
+                  == ("client0", 1)]
         assert len(writes) == 1
 
 
@@ -99,13 +104,13 @@ def test_batching_under_load():
     pre-prepares than requests."""
     cluster = make_kv_cluster(batch_max=8)
     clients = [cluster.add_client(f"c{i}") for i in range(6)]
+    pps = record_events(cluster.tracer, "pre_prepare_sent")
     results = {}
     for i, sync in enumerate(clients):
         sync.client.invoke(put(i, b"b%d" % i),
                            lambda res, i=i: results.__setitem__(i, res))
     cluster.run_until(lambda: len(results) == 6)
     assert all(res == b"ok" for res in results.values())
-    pps = cluster.tracer.find("pre_prepare_sent")
     total_batched = sum(e.detail["batch"] for e in pps)
     assert total_batched == 6
     assert len(pps) < 6  # at least some batching happened

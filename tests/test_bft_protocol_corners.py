@@ -1,9 +1,8 @@
-"""Protocol corner cases: watermarks, null-request gap fill, GC, tracer."""
+"""Protocol corner cases: watermarks, null-request gap fill, GC."""
 
 from repro.bft.messages import PrePrepare, Request
 from repro.bft.statemachine import InMemoryStateManager
 from repro.bft.viewchange import ViewChangeManager
-from repro.sim.tracing import Tracer
 from tests.conftest import make_kv_cluster
 
 put = InMemoryStateManager.op_put
@@ -94,25 +93,3 @@ def test_executed_log_bounded_by_watermarks():
     cluster.run(1.0)
     for replica in cluster.replicas:
         assert len(replica.log) <= cluster.config.log_window + 1
-
-
-def test_tracer_find_and_counters():
-    tracer = Tracer()
-    tracer.emit(1.0, "n1", "thing", value=1)
-    tracer.emit(2.0, "n2", "thing", value=2)
-    tracer.emit(3.0, "n1", "other")
-    assert tracer.counters["thing"] == 2
-    assert len(tracer.find("thing")) == 2
-    assert len(tracer.find("thing", source="n1")) == 1
-    assert tracer.first("other").time == 3.0
-    assert tracer.first("missing") is None
-    tracer.clear()
-    assert not tracer.events and not tracer.counters
-
-
-def test_tracer_event_cap():
-    tracer = Tracer(max_events=3)
-    for i in range(10):
-        tracer.emit(float(i), "n", "e")
-    assert len(tracer.events) == 3
-    assert tracer.counters["e"] == 10  # counters keep counting

@@ -1,5 +1,7 @@
 """Proactive recovery: watchdog-driven rejuvenation with state checking."""
 
+import pytest
+
 from tests.conftest import make_kv_cluster
 from repro.bft.statemachine import InMemoryStateManager
 
@@ -129,3 +131,54 @@ def test_repeated_recoveries_tolerate_unbounded_faults_over_time():
         victim.recovery.start_recovery()
         cluster.run(15.0)
         assert victim.state.values == cluster.replicas[(round_no + 1) % 4].state.values
+
+
+def test_idle_basefs_recovers_once_per_epoch_from_the_initial_state():
+    """With no stable checkpoint yet every peer answers the recovering
+    replica with an empty certificate; replies past the f+1-th (and a
+    transfer completing meanwhile) must not finish the epoch twice."""
+    from repro.base.library import BaseServiceConfig
+    from repro.bft.config import BftConfig
+    from repro.harness import costs as C
+    from repro.nfs.backends import ALL_BACKENDS
+    from repro.nfs.service import NFS_SERVICE
+    from repro.nfs.spec import AbstractSpecConfig
+    from repro.service.deploy import ReplicatedDeployment
+
+    deployment = ReplicatedDeployment.build(
+        NFS_SERVICE, list(ALL_BACKENDS),
+        spec=AbstractSpecConfig(array_size=4096),
+        config=BftConfig(checkpoint_interval=64, view_change_timeout=0.15,
+                         client_retry_timeout=0.1, reboot_delay=0.05,
+                         recovery_interval=1.0, recovery_stagger=3.0),
+        base_config=BaseServiceConfig(
+            branching=64,
+            per_object_check_cost=C.PER_OBJECT_CHECK_COST,
+            checkpoint_cost=C.CHECKPOINT_COST),
+        network_config=C.lan_network(1), seed=1)
+    deployment.run(20.0)
+    replicas = deployment.cluster.replicas
+    assert all(r.recovery.epoch >= 1 for r in replicas)
+    for r in replicas:
+        assert len(r.recovery.records) == \
+            r.recovery.epoch - r.recovery.recovering
+
+
+def test_watchdog_no_longer_than_view_change_timeout_is_rejected():
+    """Recovery start and transfer completion stop the view-change timer;
+    a watchdog firing that often would never let a backup suspect a
+    stalled primary, so such a configuration is refused up front."""
+    from repro.bft.config import BftConfig
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError):
+        BftConfig(checkpoint_interval=8, recovery_interval=0.3,
+                  recovery_stagger=0.05, reboot_delay=0.02)
+    with pytest.raises(ConfigurationError):
+        BftConfig(recovery_interval=1.0, view_change_timeout=1.0)
+    config = BftConfig(checkpoint_interval=8, recovery_interval=0.3,
+                       recovery_stagger=0.05, reboot_delay=0.02,
+                       view_change_timeout=0.25)
+    assert config.watchdog_period == 0.3
+    assert BftConfig(recovery_stagger=3.0, recovery_interval=1.0,
+                     view_change_timeout=0.15).watchdog_period == 12.0

@@ -24,7 +24,7 @@ from repro.edge import (
     ReadLease,
     StalenessEvidence,
 )
-from tests.conftest import make_kv_cluster
+from tests.conftest import make_kv_cluster, record_events
 
 put = InMemoryStateManager.op_put
 get = InMemoryStateManager.op_get
@@ -161,6 +161,7 @@ def test_linearizable_read_with_certificate_evidence():
     sync = cluster.add_client("client0")
     sync.call(put(3, b"fresh"))
     tier = make_tier(cluster)
+    reads = record_events(tier.tracer, "edge_read")
     reply = tier.read(get(3))
     assert reply.mode == LINEARIZABLE and not reply.degraded
     assert reply.result == b"fresh"
@@ -168,7 +169,7 @@ def test_linearizable_read_with_certificate_evidence():
     assert reply.evidence.kind == EVIDENCE_CERTIFICATE
     quorum = 2 * cluster.config.f + 1
     assert len(reply.evidence.replicas) >= quorum
-    record = tier.records[-1]
+    record = reads[-1].detail["record"]
     assert record.mode == LINEARIZABLE
     assert record.result_digest == digest(b"fresh")
     assert tier.metrics.counter_value("edge.reads") == 1
@@ -179,6 +180,7 @@ def test_degradation_ladder_and_repromotion():
     sync = cluster.add_client("client0")
     sync.call(put(1, b"v1"))
     tier = make_tier(cluster)
+    reads = record_events(tier.tracer, "edge_read")
     op = get(1)
     assert tier.read(op).mode == LINEARIZABLE  # warms the lease
 
@@ -211,7 +213,7 @@ def test_degradation_ladder_and_repromotion():
     assert tier.ports[0].breaker.promotions >= 1
     assert tier.metrics.counter_value("edge.degraded_reads") >= 2
     assert tier.metrics.counter_value("edge.unavailable") == 1
-    modes = [record.mode for record in tier.records]
+    modes = [event.detail["record"].mode for event in reads]
     assert modes[0] == LINEARIZABLE and modes[-1] == LINEARIZABLE
     assert BOUNDED_STALE in modes and LAST_KNOWN_GOOD in modes
 
@@ -280,11 +282,12 @@ def test_edge_read_routes_across_a_sharded_deployment():
         client.create_table(table, ["id", "val"], "id")
         client.insert(table, [1, f"{table}-row"])
     tier = EdgeTier.for_deployment(deployment, read_timeout=0.05)
+    reads = record_events(tier.tracer, "edge_read")
     assert len(tier.ports) == 2
     for shard, table in tables.items():
         reply = tier.read(canonical(("select", table, 1)))
         assert reply.mode == LINEARIZABLE and not reply.degraded
-        assert tier.records[-1].shard == shard
+        assert reads[-1].detail["record"].shard == shard
 
 
 # -- satellite: the read-certificate path on the BFT client ------------------------

@@ -14,7 +14,7 @@ from repro.faultlab.plan import (
     LossFault,
     ReplicaFault,
 )
-from tests.conftest import make_kv_cluster
+from tests.conftest import make_kv_cluster, record_events
 
 put = InMemoryStateManager.op_put
 
@@ -26,6 +26,34 @@ def test_same_seed_reruns_are_bit_identical():
     assert a.violation_keys() == b.violation_keys()
     assert (a.issued, a.accepted, a.sim_seconds) == \
         (b.issued, b.accepted, b.sim_seconds)
+
+
+def test_trial_evidence_patches_no_replica_or_client(monkeypatch):
+    """Evidence comes from tracer subscribers: after a trial no replica
+    or client carries an instance attribute shadowing one of its
+    methods."""
+    from repro.faultlab import explorer
+    built = []
+    build = explorer._build
+
+    def capture(scenario, seed):
+        cluster, sharded = build(scenario, seed)
+        built.append(cluster)
+        return cluster, sharded
+
+    monkeypatch.setattr(explorer, "_build", capture)
+    assert run_trial("byzantine_backup", 0).ok
+    [cluster] = built
+    nodes = list(cluster.replicas) + list(cluster.clients.values())
+    assert "faultlab-c0" in cluster.clients
+    for replica in cluster.replicas:
+        assert "_safe_execute" not in vars(replica)
+    for client in cluster.clients.values():
+        assert "_accept" not in vars(client)
+    for node in nodes:
+        shadowed = [name for name in vars(node)
+                    if callable(getattr(type(node), name, None))]
+        assert shadowed == [], (node.node_id, shadowed)
 
 
 def test_different_seeds_draw_different_plans():
@@ -95,6 +123,8 @@ def test_injector_faults_flow_through_tracer_and_metrics():
         ReplicaFault(1, "mute", start=0.5, stop=2.0),
         LossFault(0.08, start=0.5, stop=2.0),
     ))
+    injected = record_events(cluster.tracer, "fault_injected")
+    cleared = record_events(cluster.tracer, "fault_cleared")
     base_drop = cluster.network.config.default_link.drop_rate
     injector = FaultInjector(cluster, plan)
     injector.arm()
@@ -105,8 +135,6 @@ def test_injector_faults_flow_through_tracer_and_metrics():
     cluster.run(3.0)
 
     assert injector.injected == 2 and injector.cleared == 2
-    injected = cluster.tracer.find("fault_injected")
-    cleared = cluster.tracer.find("fault_cleared")
     assert len(injected) == 2 and len(cleared) == 2
     assert {e.detail["fault"] for e in injected} == \
         {f.describe() for f in plan}
@@ -120,6 +148,7 @@ def test_injector_faults_flow_through_tracer_and_metrics():
 def test_quiesce_force_clears_open_ended_faults():
     cluster = make_kv_cluster()
     plan = FaultPlan((ReplicaFault(2, "mute"),))  # no stop: runs forever
+    forced = record_events(cluster.tracer, "fault_cleared")
     injector = FaultInjector(cluster, plan)
     injector.arm()
     cluster.run(0.5)
@@ -127,7 +156,6 @@ def test_quiesce_force_clears_open_ended_faults():
     injector.quiesce()
     assert cluster.replicas[2].behavior is HONEST
     assert injector.cleared == 1
-    forced = cluster.tracer.find("fault_cleared")
     assert forced and forced[-1].detail.get("forced") is True
 
 

@@ -19,6 +19,7 @@ from repro.workloads.microbench import (
     concurrent_ops,
     sequential_ops,
 )
+from tests.conftest import record_events
 
 
 def test_overhead_pct():
@@ -91,12 +92,13 @@ def test_sequential_microbench_counts():
 
 def test_concurrent_microbench_completes_all():
     cluster = build_cluster(lambda i: InMemoryStateManager())
+    executed = record_events(cluster.tracer, "executed")
     result = concurrent_ops(cluster, clients=4, per_client=5, label="t")
     assert result.operations == 20
     # All 20 writes actually executed on the replicas.
-    executed = [len([op for _, _, _, op in r.state.executed_ops if op])
-                for r in cluster.replicas]
-    assert max(executed) >= 20
+    per_replica = [len([e for e in executed if e.source == r.node_id])
+                   for r in cluster.replicas]
+    assert max(per_replica) >= 20
 
 
 def test_read_only_microbench_uses_fewer_messages():

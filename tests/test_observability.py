@@ -1,4 +1,4 @@
-"""The observability layer: ring-buffer tracing, histograms, metrics,
+"""The observability layer: event subscribers, histograms, metrics,
 spans, and the per-phase latency instrumentation in the BFT stack."""
 
 import json
@@ -13,53 +13,99 @@ from repro.harness.report import (
     phase_breakdown_table,
     run_selftest,
 )
-from repro.sim import Histogram, Metrics, Tracer
-from tests.conftest import make_kv_cluster
+from repro.edge import EdgeTier
+from repro.sim import Histogram, Metrics, Tracer, tracing
+from tests.conftest import make_kv_cluster, record_events
 
 put = InMemoryStateManager.op_put
 get = InMemoryStateManager.op_get
 
 
-# -- Tracer ring buffer -------------------------------------------------------
+# -- Tracer subscribers --------------------------------------------------------
 
-def test_ring_buffer_keeps_most_recent_events():
-    tracer = Tracer(max_events=3)
-    for i in range(10):
-        tracer.emit(float(i), "n", "e", i=i)
-    assert len(tracer.events) == 3
-    assert [e.detail["i"] for e in tracer.events] == [7, 8, 9]
-    assert tracer.dropped_events == 7
-    assert tracer.counters["e"] == 10  # counters keep counting
-
-
-def test_ring_buffer_find_and_first_see_recent_window():
-    tracer = Tracer(max_events=2)
-    tracer.emit(1.0, "n", "old")
-    tracer.emit(2.0, "n", "mid")
-    tracer.emit(3.0, "n", "new")
-    assert tracer.find("old") == []
-    assert tracer.first("mid").time == 2.0
-    assert [e.kind for e in tracer.events] == ["mid", "new"]
-
-
-def test_no_silent_drops_when_events_disabled():
-    tracer = Tracer(keep_events=False)
+def test_subscribers_see_every_event_in_emit_order():
+    tracer = Tracer()
+    first, second = [], []
+    tracer.subscribe(lambda e: first.append((e.time, e.source, e.kind,
+                                             e.detail)))
+    tracer.subscribe(lambda e: second.append(first[-1]))
     for i in range(5):
-        tracer.emit(float(i), "n", "e")
-    assert len(tracer.events) == 0
-    assert tracer.dropped_events == 5
+        tracer.emit(float(i), f"n{i % 2}", "ab"[i % 2], i=i)
+    assert first == [(float(i), f"n{i % 2}", "ab"[i % 2], {"i": i})
+                     for i in range(5)]
+    assert second == first  # each subscriber runs after the one before
 
 
-def test_clear_resets_drops_and_metrics():
-    tracer = Tracer(max_events=1)
-    tracer.emit(1.0, "n", "a")
-    tracer.emit(2.0, "n", "b")
+def test_no_silent_drops_when_events_disabled(monkeypatch):
+    """With no subscriber nothing is built or kept, however many events
+    are emitted; a subscriber attached later misses none of its own."""
+    built = []
+
+    class CountingEvent(tracing.TraceEvent):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(tracing, "TraceEvent", CountingEvent)
+    tracer = Tracer()
+    before = dict(vars(tracer))
+    for i in range(100_000):
+        tracer.emit(float(i), "n", "e", i=i)
+    assert built == []
+    assert vars(tracer) == before
+    assert tracer.metrics.to_json() == Metrics().to_json()
+    seen = record_events(tracer)
+    for i in range(3):
+        tracer.emit(float(i), "n", "e", i=i)
+    assert [e.detail["i"] for e in seen] == [0, 1, 2] and len(built) == 3
+
+
+def test_clear_resets_metrics():
+    tracer = Tracer()
+    seen = record_events(tracer)
     tracer.observe("x", 1.0)
-    assert tracer.dropped_events == 1
     tracer.clear()
-    assert tracer.dropped_events == 0
-    assert not tracer.events
     assert not tracer.metrics.histograms
+    tracer.emit(1.0, "n", "a")
+    assert [e.kind for e in seen] == ["a"]  # subscribers stay attached
+
+
+def test_executed_and_accepted_events_carry_results():
+    """Ordered, read-only and edge-read executions each emit one
+    ``executed`` event with ``read_only`` and the computed result; the
+    client's ``result_accepted`` carries the accepted result."""
+    cluster = make_kv_cluster()
+    events = record_events(cluster.tracer, "executed", "result_accepted")
+    client = cluster.add_client("client0")
+    assert client.call(put(2, b"two")) == b"ok"
+    assert client.call(get(2), read_only=True) == b"two"
+    tier = EdgeTier.for_cluster(cluster, read_timeout=0.05)
+    tier.ports[0].breaker.signal_view_change()  # refresh from one replica
+    assert tier.read(get(2)).result == b"two"
+    cluster.run(1.0)
+
+    def executed(client_id, request_id):
+        return [e for e in events if e.kind == "executed"
+                and e.detail["client"] == client_id
+                and e.detail["request_id"] == request_id]
+
+    write, read = executed("client0", 1), executed("client0", 2)
+    assert sorted(e.source for e in write) == cluster.config.replica_ids
+    assert {(e.detail["read_only"], e.detail["result"],
+             e.detail["seq"]) for e in write} == {(False, b"ok", 1)}
+    assert sorted(e.source for e in read) == cluster.config.replica_ids
+    assert {(e.detail["read_only"], e.detail["result"])
+            for e in read} == {(True, b"two")}
+    edge = [e for e in events if e.kind == "executed"
+            and e.detail["client"] == tier.edge_id]
+    assert edge and {(e.detail["read_only"], e.detail["result"])
+                     for e in edge} == {(True, b"two")}
+    accepted = [(e.source, e.detail["request_id"], e.detail["result"])
+                for e in events if e.kind == "result_accepted"
+                and e.source == "client0"]
+    assert accepted == [("client0", 1, b"ok"), ("client0", 2, b"two")]
+    times = [e.time for e in events]
+    assert times == sorted(times)
 
 
 # -- Histogram ----------------------------------------------------------------
@@ -258,7 +304,6 @@ def test_normal_case_populates_phase_histograms():
     assert e2e.count == 10
     assert e2e.min > 0
     assert cluster.metrics.counter_value("client.requests") == 10
-    assert cluster.tracer.dropped_events == 0
 
 
 def test_view_change_duration_recorded():
