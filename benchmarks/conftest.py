@@ -11,7 +11,11 @@ import functools
 
 import pytest
 
+from repro.bft.config import BftConfig
+from repro.bft.statemachine import InMemoryStateManager
+from repro.harness import costs as C
 from repro.harness import experiments as E
+from repro.harness.cluster import Cluster, build_cluster
 from repro.nfs.backends import ALL_BACKENDS
 
 
@@ -50,6 +54,15 @@ def oo7(system: str, names: tuple):
     if system == "std":
         return E.run_oo7_std(list(names))
     return E.run_oo7_base(list(names))
+
+
+def lan_kv_cluster(seed: int, **config) -> Cluster:
+    """An f=1 in-memory KV cluster on a LAN with protocol CPU costs, so
+    offered load actually queues."""
+    return build_cluster(lambda i: InMemoryStateManager(size=64),
+                         config=BftConfig(**config),
+                         network_config=C.lan_network(seed),
+                         costs=C.PROTOCOL_COSTS, seed=seed)
 
 
 def run_once(benchmark, fn):

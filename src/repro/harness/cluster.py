@@ -33,7 +33,7 @@ class Cluster:
 
     @property
     def metrics(self):
-        """The shared metrics registry (counters/gauges/histograms)."""
+        """The shared metrics registry (counters and histograms)."""
         return self.tracer.metrics
 
     def phase_report(self, title: str = "Per-phase latency breakdown "
@@ -41,9 +41,6 @@ class Cluster:
         """Render the per-phase latency histograms as a table."""
         from repro.harness.report import phase_breakdown_table
         return phase_breakdown_table(self.tracer.metrics, title=title)
-
-    def metrics_json(self, indent: int = 2) -> str:
-        return self.tracer.metrics.to_json(indent=indent)
 
     @property
     def primary(self) -> Replica:

@@ -13,7 +13,7 @@ answers LINK with NFSERR_PERM; no phase of the Andrew benchmark needs it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ServiceError
@@ -130,13 +130,6 @@ class Fattr:
          atime, mtime, ctime, rdev) = fields
         return cls(FileType(ftype), mode, nlink, uid, gid, size, fsid,
                    fileid, atime, mtime, ctime, rdev)
-
-    def with_times(self, atime: int = None, mtime: int = None,
-                   ctime: int = None) -> "Fattr":
-        return replace(self,
-                       atime=self.atime if atime is None else atime,
-                       mtime=self.mtime if mtime is None else mtime,
-                       ctime=self.ctime if ctime is None else ctime)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ The kernel is deliberately small:
   with timer helpers.
 - :class:`~repro.sim.tracing.Tracer` — event publishing to subscribers
   (the evidence stream) plus the metrics registry.
-- :class:`~repro.sim.metrics.Metrics` — counters/gauges/histograms with
+- :class:`~repro.sim.metrics.Metrics` — counters and histograms with
   percentile summaries, exportable as JSON or harness tables.
 """
 
 from repro.sim.scheduler import Event, Scheduler
-from repro.sim.metrics import Histogram, Metrics, Span
+from repro.sim.metrics import Histogram, Metrics
 from repro.sim.network import LinkConfig, Network, NetworkConfig
 from repro.sim.node import Node, Timer
 from repro.sim.tracing import PHASES, Tracer
@@ -36,7 +36,6 @@ __all__ = [
     "NetworkConfig",
     "Node",
     "PHASES",
-    "Span",
     "Timer",
     "Tracer",
 ]

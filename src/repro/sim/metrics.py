@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and histograms with percentiles.
+"""Metrics registry: counters and histograms with percentiles.
 
 The observability substrate for the benchmark harness: protocol code
 records per-phase latencies and operation counters here (via the
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 class Histogram:
@@ -53,7 +52,7 @@ class Histogram:
         if len(self._samples) < self._max_samples:
             self._samples.append(value)
         else:
-            self._samples[self.count % self._max_samples] = value
+            self._samples[(self.count - 1) % self._max_samples] = value
 
     @property
     def mean(self) -> float:
@@ -61,10 +60,10 @@ class Histogram:
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile over the retained sample (p in [0, 100])."""
-        if not self._samples:
-            return float("nan")
         if not 0 <= p <= 100:
             raise ValueError(f"percentile {p!r} outside [0, 100]")
+        if not self._samples:
+            return float("nan")
         ordered = sorted(self._samples)
         rank = max(1, math.ceil(p / 100.0 * len(ordered)))
         return ordered[rank - 1]
@@ -87,33 +86,8 @@ class Histogram:
                 f"mean={self.mean:.6g})")
 
 
-class Span:
-    """Context manager timing one region into a histogram.
-
-    ``clock`` is any zero-argument callable returning seconds — the
-    simulation passes ``scheduler.now`` so spans measure *simulated*
-    time; outside a simulation it defaults to wall-clock time.
-    """
-
-    __slots__ = ("_hist", "_clock", "_start", "elapsed")
-
-    def __init__(self, hist: Histogram, clock: Callable[[], float]):
-        self._hist = hist
-        self._clock = clock
-        self._start = 0.0
-        self.elapsed: Optional[float] = None
-
-    def __enter__(self) -> "Span":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed = self._clock() - self._start
-        self._hist.observe(self.elapsed)
-
-
 class Metrics:
-    """Registry of named counters, gauges, and histograms.
+    """Registry of named counters and histograms.
 
     Names are free-form dotted strings; the harness conventions are
     ``phase.<name>`` for protocol phase latencies, ``recovery.<name>``
@@ -122,7 +96,6 @@ class Metrics:
 
     def __init__(self, max_samples_per_histogram: int = 65_536):
         self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self._max_samples = max_samples_per_histogram
 
@@ -130,9 +103,6 @@ class Metrics:
 
     def inc(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     def histogram(self, name: str) -> Histogram:
         hist = self.histograms.get(name)
@@ -144,17 +114,10 @@ class Metrics:
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
-    def span(self, name: str,
-             clock: Optional[Callable[[], float]] = None) -> Span:
-        return Span(self.histogram(name), clock or time.perf_counter)
-
     # -- reading -----------------------------------------------------------
 
     def counter_value(self, name: str) -> int:
         return self.counters.get(name, 0)
-
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        return self.gauges.get(name, default)
 
     def histograms_with_prefix(self, prefix: str) -> List[Tuple[str, Histogram]]:
         return sorted((name, h) for name, h in self.histograms.items()
@@ -165,7 +128,6 @@ class Metrics:
     def as_dict(self, percentiles: Iterable[float] = (50, 90, 99)) -> Dict[str, Any]:
         return {
             "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
                 name: hist.summary(percentiles)
                 for name, hist in sorted(self.histograms.items())},
@@ -183,8 +145,8 @@ class Metrics:
         return json.dumps(_clean(self.as_dict(percentiles)), indent=indent)
 
     def merge(self, other: "Metrics", prefix: str = "") -> None:
-        """Fold another registry into this one (counters add, gauges take
-        the other's value, histogram aggregates and samples combine).
+        """Fold another registry into this one (counters add, histogram
+        aggregates and samples combine).
 
         ``prefix`` namespaces every incoming name (e.g. ``"shard0."``):
         sharded deployments aggregate one registry per group into a
@@ -195,8 +157,6 @@ class Metrics:
         """
         for name, n in other.counters.items():
             self.inc(prefix + name, n)
-        for name, value in other.gauges.items():
-            self.gauges[prefix + name] = value
         for name, hist in other.histograms.items():
             mine = self.histogram(prefix + name)
             offset = mine.count
@@ -216,5 +176,4 @@ class Metrics:
 
     def clear(self) -> None:
         self.counters.clear()
-        self.gauges.clear()
         self.histograms.clear()

@@ -10,9 +10,9 @@ stream every consumer reads — and the benchmark harness reads the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.sim.metrics import Histogram, Metrics, Span
+from repro.sim.metrics import Metrics
 
 #: The normal-case phase taxonomy, in protocol order.  Each entry is a
 #: histogram named ``phase.<name>`` in the tracer's metrics registry;
@@ -56,7 +56,7 @@ class Tracer:
     # -- clock ----------------------------------------------------------------
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulation clock so spans measure simulated time."""
+        """Attach the simulation clock that ``now`` reads."""
         self._clock = clock
 
     @property
@@ -88,20 +88,3 @@ class Tracer:
     def observe_phase(self, phase: str, seconds: float) -> None:
         """Record one protocol-phase latency (histogram ``phase.<name>``)."""
         self.metrics.observe(f"phase.{phase}", seconds)
-
-    def span(self, name: str) -> Span:
-        """Span-style timing context over the bound (simulated) clock.
-
-        Falls back to wall-clock time when no clock is bound, so the
-        same code paths work outside a simulation.
-        """
-        clock = self._clock
-        return self.metrics.span(name, clock) if clock is not None \
-            else self.metrics.span(name)
-
-    def phase_histograms(self) -> List[Tuple[str, Histogram]]:
-        """All ``phase.*`` histograms, in protocol order then by name."""
-        known = {f"phase.{p}": i for i, p in enumerate(PHASES)}
-        items = self.metrics.histograms_with_prefix("phase.")
-        return sorted(items, key=lambda kv: (known.get(kv[0], len(known)),
-                                             kv[0]))

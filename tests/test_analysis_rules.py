@@ -76,7 +76,7 @@ def test_every_registered_rule_has_fixtures():
 
 def test_perf_counter_allowed_in_reporting_modules():
     findings = _check("DET-PERF", FIXTURES / "det_perf_bad.py",
-                      "sim/metrics.py")
+                      "faultlab/explorer.py")
     assert findings == []
 
 

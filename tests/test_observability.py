@@ -1,5 +1,5 @@
 """The observability layer: event subscribers, histograms, metrics,
-spans, and the per-phase latency instrumentation in the BFT stack."""
+and the per-phase latency instrumentation in the BFT stack."""
 
 import json
 import math
@@ -128,6 +128,8 @@ def test_histogram_empty_is_nan_not_zero():
     hist = Histogram("h")
     assert math.isnan(hist.mean)
     assert math.isnan(hist.percentile(50))
+    with pytest.raises(ValueError):     # range is checked before emptiness
+        hist.percentile(101)
     summary = hist.summary()
     assert summary["count"] == 0
     assert math.isnan(summary["mean"])
@@ -144,17 +146,44 @@ def test_histogram_bounded_samples_exact_aggregates():
         hist.percentile(101)
 
 
+def test_full_sample_window_drops_the_oldest_observation():
+    """Regression: ``observe`` overwrote slot ``count % max_samples``
+    after incrementing ``count``, so 1..5 into four slots kept
+    {1, 3, 4, 5} — the oldest sample outlived a newer one."""
+    hist = Histogram("h", max_samples=4)
+    for v in range(1, 6):
+        hist.observe(float(v))
+    assert sorted(hist._samples) == [2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("split", [0, 1, 2, 4, 6])
+def test_merging_a_stream_keeps_the_window_observing_it_keeps(split):
+    stream = [float(v) for v in range(1, 7)]
+    observed = Metrics(max_samples_per_histogram=4)
+    for v in stream:
+        observed.observe("lat", v)
+    head = Metrics(max_samples_per_histogram=4)
+    tail = Metrics(max_samples_per_histogram=4)
+    for v in stream[:split]:
+        head.observe("lat", v)
+    for v in stream[split:]:
+        tail.observe("lat", v)
+    head.merge(tail)
+    merged, direct = head.histogram("lat"), observed.histogram("lat")
+    assert sorted(merged._samples) == sorted(direct._samples) \
+        == [3.0, 4.0, 5.0, 6.0]
+    assert merged.count == direct.count and merged.sum == direct.sum
+
+
 # -- Metrics registry ---------------------------------------------------------
 
 def test_metrics_counters_gauges_histograms():
     m = Metrics()
     m.inc("ops")
     m.inc("ops", 4)
-    m.gauge("depth", 7.0)
     m.observe("lat", 0.25)
     assert m.counter_value("ops") == 5
     assert m.counter_value("missing") == 0
-    assert m.gauge_value("depth") == 7.0
     assert m.histogram("lat").count == 1
 
 
@@ -207,12 +236,10 @@ def test_merge_into_full_histogram_still_absorbs_samples():
 def test_merge_with_prefix_namespaces_every_metric():
     a, b = Metrics(), Metrics()
     b.inc("requests", 7)
-    b.gauge("depth", 3.0)
     b.observe("phase.commit", 0.5)
     a.merge(b, prefix="shard1.")
     assert a.counter_value("shard1.requests") == 7
     assert a.counter_value("requests") == 0
-    assert a.gauge_value("shard1.depth") == 3.0
     assert a.histogram("shard1.phase.commit").count == 1
     assert "phase.commit" not in a.histograms
 
@@ -262,25 +289,6 @@ def test_merge_partially_full_buffer_appends_then_rotates():
     assert hist.count == 5
     assert len(hist._samples) == 4              # memory stays bounded
     assert 30.0 in hist._samples                # the overflow wrapped in
-
-
-def test_span_measures_with_custom_clock():
-    m = Metrics()
-    fake = {"t": 10.0}
-    with m.span("region", clock=lambda: fake["t"]) as span:
-        fake["t"] = 12.5
-    assert span.elapsed == pytest.approx(2.5)
-    assert m.histogram("region").count == 1
-    assert m.histogram("region").max == pytest.approx(2.5)
-
-
-def test_tracer_span_uses_bound_simulation_clock():
-    tracer = Tracer()
-    fake = {"t": 0.0}
-    tracer.bind_clock(lambda: fake["t"])
-    with tracer.span("step"):
-        fake["t"] = 4.0
-    assert tracer.metrics.histogram("step").percentile(50) == pytest.approx(4.0)
 
 
 # -- protocol phase instrumentation -------------------------------------------

@@ -3,8 +3,8 @@
 The engine's contract has three legs, each pinned here:
 
 - **Determinism**: the same seed produces the same arrival sequence and
-  the same load-latency curve, bit for bit (the perf harness asserts
-  this too, but the regression belongs in tier-1);
+  the same load-latency curve, bit for bit (the knee contract in
+  ``benchmarks/`` asserts this too, but the regression belongs in tier-1);
 - **Honest SLOs**: timeouts, shed requests, and service errors all count
   *against* attainment — the engine must never survey only the requests
   that happened to finish;
@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from benchmarks.perf.harness import _validate_open_loop
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.harness import costs as C
@@ -200,40 +199,4 @@ def test_walk_to_knee_produces_a_monotone_curve_with_a_knee():
     assert knee.offered_rate == max(p.offered_rate for p in curve.points
                                     if p.sustainable)
     assert curve.max_sustainable_rate == knee.achieved_rate > 0
-    # The serialized curve round-trips through the BENCH schema check.
-    doc = curve.as_dict()
-    _validate_open_loop({
-        "seed": 0,
-        "arrival_process": "poisson",
-        "slo_p95_seconds": doc["slo_p95"],
-        "target_attainment": doc["target_attainment"],
-        "max_sustainable_req_s": doc["max_sustainable_req_s"],
-        "knee_offered_req_s": doc["knee_offered_req_s"],
-        "curve": doc["points"],
-    })
 
-
-def test_validate_open_loop_rejects_a_non_monotone_sweep():
-    def point(rate, sustainable):
-        return {"offered_rate": rate, "duration": 0.5, "offered": 10,
-                "completed": 10, "timed_out": 0, "shed": 0, "errors": 0,
-                "achieved_rate": rate, "p95": 0.001,
-                "attainment": 1.0 if sustainable else 0.5,
-                "sustainable": sustainable}
-
-    def doc(curve):
-        return {"seed": 0, "arrival_process": "poisson",
-                "slo_p95": 0.005, "target_attainment": 0.95,
-                "slo_p95_seconds": 0.005,
-                "max_sustainable_req_s": max(
-                    (p["achieved_rate"] for p in curve if p["sustainable"]),
-                    default=0.0),
-                "knee_offered_req_s": 100.0, "curve": curve}
-
-    _validate_open_loop(doc([point(100.0, True), point(200.0, False)]))
-    with pytest.raises(ValueError, match="monotone"):
-        _validate_open_loop(doc([point(200.0, False), point(100.0, True)]))
-    with pytest.raises(ValueError, match="knee"):
-        _validate_open_loop(doc([point(100.0, True), point(200.0, True)]))
-    with pytest.raises(ValueError, match="sustainable"):
-        _validate_open_loop(doc([point(100.0, False), point(200.0, False)]))
