@@ -66,15 +66,6 @@ REPLAY_PACKAGES = frozenset({"base", "bft", "edge", "faultlab", "sim"})
 #: only — they measure wall time about a run, never feed it back in.
 PERF_COUNTER_ALLOWED = frozenset({"faultlab/explorer.py"})
 
-#: Modules allowed real file I/O: report writers and CLI entry points
-#: (they serialize results *after* the simulation) plus the repo-metrics
-#: harness that reads source files by design.
-IO_ALLOWED = frozenset({
-    "faultlab/report.py", "faultlab/__main__.py",
-    "analysis/engine.py", "analysis/__main__.py", "analysis/baseline.py",
-    "harness/complexity.py", "harness/report.py",
-})
-
 # -- deep-pass anchors ---------------------------------------------------------
 # Dotted names the interprocedural passes resolve against.  They name
 # *this repo's* agreement-critical surfaces; fixture trees re-declare
@@ -124,7 +115,6 @@ class AnalysisConfig:
     protocol_packages: FrozenSet[str] = PROTOCOL_PACKAGES
     replay_packages: FrozenSet[str] = REPLAY_PACKAGES
     perf_counter_allowed: FrozenSet[str] = PERF_COUNTER_ALLOWED
-    io_allowed: FrozenSet[str] = IO_ALLOWED
     # deep-pass anchors (see module docstring comments above)
     message_root: str = MESSAGE_ROOT
     node_root: str = NODE_ROOT
@@ -147,9 +137,6 @@ class AnalysisConfig:
     def perf_counter_ok(self, rel: str) -> bool:
         return rel in self.perf_counter_allowed
 
-    def io_ok(self, rel: str) -> bool:
-        return rel in self.io_allowed
-
     def in_cost_scope(self, rel: str) -> bool:
         return "*" in self.cost_packages or _top(rel) in self.cost_packages
 
@@ -162,23 +149,13 @@ class AnalysisConfig:
             or _top(rel) in self.quorum_len_packages)
 
 
-#: Config used by tests pointing rules at fixture files: every scope
-#: check passes (``"*"`` wildcard), so each rule exercises its logic
-#: regardless of the fixture's path.
+#: Config used by tests pointing rules at fixture files and trees: every
+#: scope check passes (``"*"`` wildcard) and no file is exempt, so each
+#: rule exercises its logic regardless of the fixture's path.
 EVERYWHERE = AnalysisConfig(
     protocol_packages=frozenset({"*"}),
     replay_packages=frozenset({"*"}),
     perf_counter_allowed=frozenset(),
-    io_allowed=frozenset(),
-)
-
-#: Deep-pass test config: fixture trees live under arbitrary paths, so
-#: every scope check passes and no file is exempt.
-DEEP_EVERYWHERE = AnalysisConfig(
-    protocol_packages=frozenset({"*"}),
-    replay_packages=frozenset({"*"}),
-    perf_counter_allowed=frozenset(),
-    io_allowed=frozenset(),
     cost_packages=frozenset({"*"}),
     quorum_exempt=frozenset(),
     quorum_len_packages=frozenset({"*"}),

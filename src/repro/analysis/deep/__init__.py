@@ -1,16 +1,13 @@
-"""DeepLint: interprocedural dataflow and protocol-conformance analysis.
+"""DeepLint: interprocedural dataflow and protocol-conformance passes.
 
-Whole-program companions to the per-file ProtoLint rules:
+The whole-program half of a lint run (:func:`repro.analysis.lint`):
 
-- :mod:`repro.analysis.deep.project`   — parsed-module model + resolver
+- :mod:`repro.analysis.deep.project`   — the loader: one parse per file,
+  plus the module model and resolver
 - :mod:`repro.analysis.deep.callgraph` — project-wide call graph
 - :mod:`repro.analysis.deep.taint`     — nondeterminism-taint fixpoint
 - :mod:`repro.analysis.deep.conformance` — handler/cost/quorum passes
-- :mod:`repro.analysis.deep.driver`    — ``run_deep()`` entry point
-
-Only the catalog is re-exported here: the engine imports
-``repro.analysis.deep.catalog`` for the rule ids, so this package
-``__init__`` must not import the passes (they import the engine).
+- :mod:`repro.analysis.deep.catalog`   — rule ids and documentation
 """
 
 from repro.analysis.deep.catalog import (DEEP_RULE_IDS, DEEP_RULES,

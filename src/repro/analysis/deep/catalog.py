@@ -1,11 +1,4 @@
-"""DeepLint rule catalog: ids, severities, and documentation strings.
-
-Kept dependency-free (stdlib only) so that :mod:`repro.analysis.engine`
-can import the rule ids — the file-level engine must recognize
-``# protolint: disable=DEEP-TAINT reason`` comments as naming known
-rules — without creating an import cycle with the deep passes, which
-themselves build on the engine's Finding/FileContext machinery.
-"""
+"""DeepLint rule catalog: ids, severities, and documentation strings."""
 
 from __future__ import annotations
 

@@ -28,12 +28,6 @@ from repro.analysis.deep.project import Project
 from repro.analysis.engine import Finding
 
 
-def _suppressed(project: Project, rule_id: str, rel: str,
-                line: int) -> bool:
-    module = project.modules.get(rel)
-    return module is not None and module.ctx.suppressed(rule_id, line)
-
-
 # -- DEEP-HANDLER --------------------------------------------------------------
 
 def run_handler_pass(project: Project, graph: CallGraph) -> List[Finding]:
@@ -54,7 +48,7 @@ def run_handler_pass(project: Project, graph: CallGraph) -> List[Finding]:
         handler = f"handle_{cls.kind}"
         if handler in handler_names:
             continue
-        if _suppressed(project, "DEEP-HANDLER", cls.rel, cls.lineno):
+        if project.suppressed("DEEP-HANDLER", cls.rel, cls.lineno):
             continue
         findings.append(Finding(
             cls.rel, cls.lineno, cls.node.col_offset, "DEEP-HANDLER",
@@ -71,7 +65,7 @@ def run_handler_pass(project: Project, graph: CallGraph) -> List[Finding]:
         kind = info.name[len("handle_"):]
         if kind in kinds or not kind:
             continue
-        if _suppressed(project, "DEEP-HANDLER", info.rel, info.lineno):
+        if project.suppressed("DEEP-HANDLER", info.rel, info.lineno):
             continue
         findings.append(Finding(
             info.rel, info.lineno, info.node.col_offset, "DEEP-HANDLER",
@@ -102,7 +96,7 @@ def run_cost_pass(project: Project, graph: CallGraph) -> List[Finding]:
                 break
         if charges:
             continue
-        if _suppressed(project, "DEEP-COST", info.rel, info.lineno):
+        if project.suppressed("DEEP-COST", info.rel, info.lineno):
             continue
         findings.append(Finding(
             info.rel, info.lineno, info.node.col_offset, "DEEP-COST",
@@ -166,7 +160,7 @@ def run_quorum_pass(project: Project, graph: CallGraph) -> List[Finding]:
         module = project.modules[rel]
         for node in ast.walk(module.tree):
             if isinstance(node, ast.BinOp) and _quorum_arith(node):
-                if _suppressed(project, "DEEP-QUORUM", rel, node.lineno):
+                if project.suppressed("DEEP-QUORUM", rel, node.lineno):
                     continue
                 findings.append(Finding(
                     rel, node.lineno, node.col_offset, "DEEP-QUORUM",
@@ -185,7 +179,7 @@ def run_quorum_pass(project: Project, graph: CallGraph) -> List[Finding]:
                     hit = _const_int(left)
                 if hit is None or hit < 2:
                     continue
-                if _suppressed(project, "DEEP-QUORUM", rel, node.lineno):
+                if project.suppressed("DEEP-QUORUM", rel, node.lineno):
                     continue
                 findings.append(Finding(
                     rel, node.lineno, node.col_offset, "DEEP-QUORUM",

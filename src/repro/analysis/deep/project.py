@@ -1,7 +1,9 @@
-"""Whole-program model for the deep passes.
+"""Whole-program model: the one loader of a lint run.
 
-Parses every file under the scan roots once and builds the symbol
-tables the interprocedural passes resolve against:
+Parses every file under the scan roots once, into one
+:class:`~repro.analysis.engine.FileContext` per file (the file-level
+rules walk those same trees), and builds the symbol tables the
+interprocedural passes resolve against:
 
 - per-module import/alias tables (``import x as y``, ``from m import f``,
   relative imports resolved against the module's dotted name);
@@ -24,7 +26,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.deep.catalog import DEEP_RULE_IDS
 from repro.analysis.engine import FileContext, relativize
 
 #: Builtins the resolver names explicitly (sources, sanitizers, and the
@@ -112,17 +113,14 @@ class ClassInfo:
 class ModuleInfo:
     """One parsed source file and its module-scope symbol table."""
 
-    __slots__ = ("rel", "modname", "path", "tree", "source", "imports",
-                 "functions", "classes", "assigns", "ctx")
+    __slots__ = ("rel", "modname", "tree", "imports", "functions",
+                 "classes", "assigns", "ctx")
 
-    def __init__(self, rel: str, modname: str, path: Path, tree: ast.Module,
-                 source: str, ctx: FileContext):
-        self.rel = rel
+    def __init__(self, modname: str, ctx: FileContext):
+        self.rel = ctx.rel
         self.modname = modname
-        self.path = path
-        self.tree = tree
-        self.source = source
-        self.imports: Dict[str, str] = {}     # local name -> dotted origin
+        self.tree: ast.Module = ctx.tree
+        self.imports = ctx.imports            # local name -> dotted origin
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.assigns: Dict[str, str] = {}     # NAME = <resolvable alias>
@@ -134,7 +132,9 @@ class Project:
 
     def __init__(self, config: AnalysisConfig):
         self.config = config
-        self.modules: Dict[str, ModuleInfo] = {}        # by rel
+        #: every scanned file by rel, unparseable ones included.
+        self.contexts: Dict[str, FileContext] = {}
+        self.modules: Dict[str, ModuleInfo] = {}        # by rel, parsed
         self.by_modname: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}    # by qualname
         self.classes: Dict[str, ClassInfo] = {}         # by qualname
@@ -194,6 +194,12 @@ class Project:
                 return dotted
             return self.normalize(".".join([resolved] + tail[1:]))
         return dotted
+
+    def suppressed(self, rule_id: str, rel: str, line: int) -> bool:
+        """Whether an inline disable comment in ``rel`` covers
+        ``rule_id`` at ``line``."""
+        ctx = self.contexts.get(rel)
+        return ctx is not None and ctx.suppressed(rule_id, line)
 
     # -- class hierarchy -------------------------------------------------------
 
@@ -307,11 +313,11 @@ def load_project(roots: Sequence[Path],
                  known_rule_ids: Sequence[str] = ()) -> Project:
     """Parse every ``*.py`` under ``roots`` into a :class:`Project`.
 
-    ``known_rule_ids`` extends the suppression vocabulary of the
-    per-file contexts (the deep rule ids are always included)."""
+    ``known_rule_ids`` is the suppression vocabulary of the per-file
+    contexts.  A file that does not parse keeps its context (with its
+    ``PL-SYNTAX`` finding) but joins no module table."""
     config = config or AnalysisConfig()
     project = Project(config)
-    known = sorted(set(known_rule_ids) | set(DEEP_RULE_IDS))
 
     files: List[Tuple[str, Path, bool]] = []
     for root in sorted(Path(r) for r in roots):
@@ -323,17 +329,15 @@ def load_project(roots: Sequence[Path],
     files.sort()
 
     for rel, path, under in files:
-        if rel in project.modules:
+        if rel in project.contexts:
             continue
-        source = path.read_text(encoding="utf-8")
-        ctx = FileContext(rel, source, config, known)
-        try:
-            tree = ast.parse(source, filename=rel)
-        except SyntaxError:
-            continue  # the file-level engine reports PL-SYNTAX
-        ctx.tree = tree
-        module = ModuleInfo(rel, _modname_for(rel, under), path, tree,
-                            source, ctx)
+        modname = _modname_for(rel, under)
+        ctx = FileContext(rel, path.read_text(encoding="utf-8"), config,
+                          known_rule_ids, modname)
+        project.contexts[rel] = ctx
+        if ctx.tree is None:
+            continue
+        module = ModuleInfo(modname, ctx)
         project.modules[rel] = module
         project.by_modname[module.modname] = module
 
@@ -350,29 +354,8 @@ def load_project(roots: Sequence[Path],
 # -- load passes ---------------------------------------------------------------
 
 def _scan_module(project: Project, module: ModuleInfo) -> None:
-    """Pass 1: imports plus every def/class, including nested ones."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    module.imports[alias.asname] = alias.name
-                else:
-                    first = alias.name.split(".", 1)[0]
-                    module.imports.setdefault(first, first)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                parts = module.modname.split(".")
-                anchor = parts[: len(parts) - node.level] \
-                    if len(parts) >= node.level else []
-                base = ".".join(anchor + ([node.module]
-                                          if node.module else []))
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                origin = f"{base}.{alias.name}" if base else alias.name
-                module.imports[alias.asname or alias.name] = origin
-
+    """Pass 1: every def/class, including nested ones (the context
+    already resolved the imports)."""
     def register_function(node, qualname: str, cls: Optional[ClassInfo],
                           top_level: bool) -> FunctionInfo:
         is_op = any(_decorator_is_op(d) for d in node.decorator_list)

@@ -39,26 +39,24 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.deep.callgraph import CallGraph, FunctionAnalysis
 from repro.analysis.deep.project import FunctionInfo, Project
+from repro.analysis.engine import Finding
 from repro.analysis.rules.determinism import (DATETIME_READS,
+                                              ENTROPY_READS,
                                               GLOBAL_RNG_CALLS,
+                                              PERF_COUNTER_READS,
                                               WALL_CLOCK_READS)
 
 # -- lattice constants ---------------------------------------------------------
 
 #: dotted external name -> (kind, label)
 SOURCE_CALLS: Dict[str, Tuple[str, str]] = {}
-for _mod, _attr in sorted(WALL_CLOCK_READS):
-    _kind = "entropy" if (_mod, _attr) in (("os", "urandom"),
-                                           ("uuid", "uuid1"),
-                                           ("uuid", "uuid4")) \
-        else "wall-clock"
-    SOURCE_CALLS[f"{_mod}.{_attr}"] = (_kind, f"{_mod}.{_attr}()")
-for _attr in sorted(DATETIME_READS):
-    SOURCE_CALLS[f"datetime.datetime.{_attr}"] = \
-        ("wall-clock", f"datetime.{_attr}()")
-SOURCE_CALLS["datetime.date.today"] = ("wall-clock", "date.today()")
-for _attr in ("perf_counter", "perf_counter_ns"):
-    SOURCE_CALLS[f"time.{_attr}"] = ("wall-clock", f"time.{_attr}()")
+for _mod, _attr in sorted(WALL_CLOCK_READS | PERF_COUNTER_READS):
+    SOURCE_CALLS[f"{_mod}.{_attr}"] = ("wall-clock", f"{_mod}.{_attr}()")
+for _mod, _attr in sorted(ENTROPY_READS):
+    SOURCE_CALLS[f"{_mod}.{_attr}"] = ("entropy", f"{_mod}.{_attr}()")
+for _cls, _attr in sorted(DATETIME_READS):
+    SOURCE_CALLS[f"datetime.{_cls}.{_attr}"] = \
+        ("wall-clock", f"{_cls}.{_attr}()")
 for _attr in sorted(GLOBAL_RNG_CALLS):
     SOURCE_CALLS[f"random.{_attr}"] = ("rng", f"random.{_attr}()")
 SOURCE_CALLS["builtins.hash"] = ("hash", "hash()")
@@ -802,3 +800,45 @@ class _BodyInterp:
                 else:
                     self.p.record_violation(tag, label, sink_rel,
                                             sink_line, chain)
+
+
+# -- findings ------------------------------------------------------------------
+
+def _short(qualname: str) -> str:
+    """Last two dotted components: ``repro.bft.replica.Replica.on_x``
+    -> ``Replica.on_x`` (stable and line-free)."""
+    return ".".join(qualname.split(".")[-2:])
+
+
+def _taint_finding(violation: Violation) -> Finding:
+    tag = violation.tag
+    hops = [frame.split(" (")[0] for frame in violation.chain]
+    via = " -> ".join(_short(h) for h in hops) if hops else "directly"
+    message = (f"nondeterministic value ({tag.kind}: {tag.label}) "
+               f"reaches {violation.sink_label} in {violation.sink_rel} "
+               f"via {via}")
+    chain: Tuple[str, ...] = (
+        (f"source: {tag.label} at {tag.rel}:{tag.line}",)
+        + violation.chain
+        + (f"sink: {violation.sink_label} at "
+           f"{violation.sink_rel}:{violation.sink_line}",))
+    return Finding(tag.rel, tag.line, 0, "DEEP-TAINT", message,
+                   chain=chain)
+
+
+def run_taint_pass(project: Project, graph: CallGraph) -> List[Finding]:
+    """DEEP-TAINT findings, one per source->sink path.  A path is
+    suppressible at either end: the source line or the sink line
+    (whichever reads better at the call site)."""
+    taint = TaintPass(project, graph)
+    taint.run()
+    findings: List[Finding] = []
+    for key in sorted(taint.violations):
+        violation = taint.violations[key]
+        if project.suppressed("DEEP-TAINT", violation.tag.rel,
+                              violation.tag.line) or \
+                project.suppressed("DEEP-TAINT", violation.sink_rel,
+                                   violation.sink_line):
+            continue
+        findings.append(_taint_finding(violation))
+    return findings

@@ -1,10 +1,11 @@
 """ProtoLint rule engine: a single-pass AST walker with pluggable rules.
 
-The engine parses each file once, walks the tree once, and dispatches
-every node to the rules registered for that node type.  Rules report
-:class:`Finding` records through the :class:`FileContext`; the context
+A :class:`FileContext` parses its file once; the engine walks that tree
+once and dispatches every node to the rules registered for that node
+type.  Rules report :class:`Finding` records through the context, which
 applies inline suppressions (``# protolint: disable=RULE-ID reason``)
 before a finding is recorded, so rules never need to know about them.
+The deep passes read the same contexts (see :mod:`repro.analysis.runner`).
 
 Design constraints, in the spirit of the repo's determinism discipline:
 
@@ -24,7 +25,7 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.config import AnalysisConfig
 
@@ -42,9 +43,7 @@ class Finding:
     position, then by rule — stable across runs and Python versions.
 
     ``chain`` is used by the interprocedural (deep) passes: the full
-    source→sink path, one ``"frame (file:line)"`` string per hop.  It is
-    deliberately excluded from the fingerprint — call-chain line numbers
-    churn, baselines must not.
+    source→sink path, one ``"frame (file:line)"`` string per hop.
     """
 
     path: str
@@ -54,11 +53,6 @@ class Finding:
     message: str
     severity: str = "error"
     chain: Tuple[str, ...] = ()
-
-    @property
-    def fingerprint(self) -> str:
-        """Baseline identity: stable across line-number churn."""
-        return f"{self.rule}:{self.path}:{self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -115,20 +109,63 @@ _DISABLE_RE = re.compile(
     r"protolint:\s*disable=([A-Za-z0-9_,\-]+)\s*(.*)\Z")
 
 
+def import_table(tree: ast.AST, modname: str = "") -> Dict[str, str]:
+    """Local name -> dotted origin for every import in ``tree``
+    (``import time as t`` -> ``t: time``, ``from os import urandom`` ->
+    ``urandom: os.urandom``); relative imports resolve against
+    ``modname``."""
+    imports: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    imports[alias.asname] = alias.name
+                else:
+                    first = alias.name.split(".", 1)[0]
+                    imports.setdefault(first, first)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = modname.split(".")
+                anchor = parts[: len(parts) - node.level] \
+                    if len(parts) >= node.level else []
+                base = ".".join(anchor + ([node.module]
+                                          if node.module else []))
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                origin = f"{base}.{alias.name}" if base else alias.name
+                imports[alias.asname or alias.name] = origin
+    return imports
+
+
 class FileContext:
-    """Everything rules may consult about the file being checked."""
+    """Everything rules may consult about the file being checked.
+
+    The context parses ``source`` once; ``tree`` is None (and the run
+    carries a ``PL-SYNTAX`` finding) when the file does not parse.
+    ``known_rule_ids`` is the suppression vocabulary and ``modname`` the
+    dotted module name relative imports resolve against."""
 
     def __init__(self, rel: str, source: str, config: AnalysisConfig,
-                 known_rule_ids: Iterable[str]):
+                 known_rule_ids: Iterable[str], modname: str = ""):
         self.rel = rel
         self.source = source
         self.config = config
-        self.tree: Optional[ast.AST] = None  # set by the engine pre-walk
         self.findings: List[Finding] = []
         self._known = set(known_rule_ids) | {SUPPRESS_RULE_ID}
         #: line -> suppression record covering that line.
         self._suppressions: Dict[int, _Suppression] = {}
         self._parse_suppressions()
+        self.tree: Optional[ast.Module] = None
+        self.imports: Dict[str, str] = {}
+        try:
+            self.tree = ast.parse(source, filename=rel)
+        except SyntaxError as err:
+            self._raw_report(Finding(rel, err.lineno or 1, 0, "PL-SYNTAX",
+                                     f"syntax error: {err.msg}"))
+            return
+        self.imports = import_table(self.tree, modname)
 
     # -- suppressions ----------------------------------------------------------
 
@@ -226,44 +263,22 @@ class Engine:
     def check_source(self, source: str, rel: str) -> List[Finding]:
         """Check one file's text; ``rel`` is its path used in findings
         and in rule scope decisions (e.g. ``bft/replica.py``)."""
-        # The deep rule ids are always part of the suppression
-        # vocabulary: a file-level pass must not flag a suppression
-        # aimed at the interprocedural pass as unknown.
-        from repro.analysis.deep.catalog import DEEP_RULE_IDS
-        known = tuple(self.rule_ids) + tuple(DEEP_RULE_IDS)
-        ctx = FileContext(rel, source, self.config, known)
-        try:
-            tree = ast.parse(source, filename=rel)
-        except SyntaxError as err:
-            ctx._raw_report(Finding(rel, err.lineno or 1, 0, "PL-SYNTAX",
-                                    f"syntax error: {err.msg}"))
-            return sorted(ctx.findings)
-        ctx.tree = tree
-        active = [r for r in self.rules if r.applies_to(ctx)]
-        active_ids = {r.rule_id for r in active}
-        for rule in active:
-            rule.begin_file(ctx)
-        for node in ast.walk(tree):
-            for rule in self._dispatch.get(type(node), ()):
-                if rule.rule_id in active_ids:
-                    rule.visit(node, ctx)
+        return self.check(FileContext(rel, source, self.config,
+                                      self.rule_ids))
+
+    def check(self, ctx: FileContext) -> List[Finding]:
+        """Walk ``ctx``'s tree once with every rule that applies to it;
+        returns all of the file's findings, sorted."""
+        if ctx.tree is not None:
+            active = [r for r in self.rules if r.applies_to(ctx)]
+            active_ids = {r.rule_id for r in active}
+            for rule in active:
+                rule.begin_file(ctx)
+            for node in ast.walk(ctx.tree):
+                for rule in self._dispatch.get(type(node), ()):
+                    if rule.rule_id in active_ids:
+                        rule.visit(node, ctx)
         return sorted(ctx.findings)
-
-    def check_file(self, path: Path, rel: Optional[str] = None
-                   ) -> List[Finding]:
-        rel = rel if rel is not None else path.name
-        return self.check_source(path.read_text(encoding="utf-8"), rel)
-
-    def run(self, root: Path) -> List[Finding]:
-        """Check every ``*.py`` under ``root`` (or just ``root`` if it is
-        a file); findings carry paths relative to the package root."""
-        findings: List[Finding] = []
-        if root.is_file():
-            findings.extend(self.check_file(root, relativize(root, root)))
-            return sorted(findings)
-        for path in sorted(root.rglob("*.py")):
-            findings.extend(self.check_file(path, relativize(path, root)))
-        return sorted(findings)
 
 
 def relativize(path: Path, root: Path) -> str:

@@ -1,14 +1,14 @@
 """ProtoLint rule registry.
 
-``all_rules()`` returns one instance of every rule, sorted by id; the
-CLI and tests select subsets by id from here.  Adding a rule = write the
+``all_rules()`` returns one instance of every rule, sorted by id; tests
+pick single rules by id from ``rules_by_id()``.  Adding a rule = write the
 class, list it in ``_RULE_CLASSES``, document it in docs/ANALYSIS.md,
 and add a bad/ok fixture pair under tests/analysis_fixtures/.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.analysis.engine import Rule
 from repro.analysis.rules.determinism import (PerfCounterRule,
@@ -32,10 +32,6 @@ _RULE_CLASSES = (
     BareExceptRule,         # WIRE-EXCEPT
 )
 
-#: The determinism subset: what tests/test_determinism_audit.py enforces.
-DETERMINISM_RULE_IDS = ("DET-RNG", "DET-CLOCK", "DET-PERF")
-
-
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, ordered by rule id."""
     return sorted((cls() for cls in _RULE_CLASSES),
@@ -45,12 +41,3 @@ def all_rules() -> List[Rule]:
 def rules_by_id() -> Dict[str, Rule]:
     return {rule.rule_id: rule for rule in all_rules()}
 
-
-def select_rules(ids: Sequence[str]) -> List[Rule]:
-    """Rules for the given ids; unknown ids raise ValueError."""
-    table = rules_by_id()
-    unknown = sorted(set(ids) - set(table))
-    if unknown:
-        raise ValueError(f"unknown rule id(s): {', '.join(unknown)} "
-                         f"(known: {', '.join(sorted(table))})")
-    return [table[rule_id] for rule_id in sorted(set(ids))]

@@ -1,14 +1,15 @@
 """Determinism rules: every run must be a pure function of (scenario, seed).
 
-These subsume the original ad-hoc audit in ``tests/test_determinism_audit``:
-no unseeded randomness, no wall-clock or entropy reads, and
-``time.perf_counter`` only in the declared reporting modules.
+No unseeded randomness, no wall-clock or entropy reads, and
+``time.perf_counter`` only in the declared reporting modules.  Clock
+and entropy calls are matched after resolving the callee through the
+file's imports, so aliased and from-imported reads are caught too.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.engine import FileContext, Rule
 
@@ -19,15 +20,32 @@ GLOBAL_RNG_CALLS = frozenset({
     "expovariate", "normalvariate", "triangular",
 })
 
-#: (module, attr) wall-clock and entropy reads that break replay outright.
+# The read tables below are the one source list: DET-CLOCK/DET-PERF
+# match calls against them, and DEEP-TAINT's source lattice is built
+# from them.  Entries are ``(module, attr)`` — for datetime, the class
+# and method (``datetime.date.today`` is ``("date", "today")``).
+
+#: Wall-clock reads that break replay outright.
 WALL_CLOCK_READS = frozenset({
     ("time", "time"), ("time", "time_ns"),
     ("time", "monotonic"), ("time", "monotonic_ns"),
-    ("os", "urandom"),
-    ("uuid", "uuid1"), ("uuid", "uuid4"),
 })
 
-DATETIME_READS = frozenset({"now", "utcnow", "today"})
+#: OS entropy reads (uuid1/uuid4 mix in clock and entropy).
+ENTROPY_READS = frozenset({
+    ("os", "urandom"), ("uuid", "uuid1"), ("uuid", "uuid4"),
+})
+
+#: datetime wall-clock reads.
+DATETIME_READS = frozenset({
+    ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
+    ("date", "today"),
+})
+
+#: Wall-clock measurement reads, allowed only in reporting modules.
+PERF_COUNTER_READS = frozenset({
+    ("time", "perf_counter"), ("time", "perf_counter_ns"),
+})
 
 
 def dotted_call(node: ast.Call) -> Optional[Tuple[str, str]]:
@@ -88,6 +106,25 @@ class UnseededRandomRule(Rule):
                        f"(irreproducible)")
 
 
+def resolved_call(node: ast.Call,
+                  ctx: FileContext) -> Optional[Tuple[str, str]]:
+    """Like :func:`dotted_call`, after resolving the callee's base name
+    through the file's imports: ``t.time()`` after ``import time as t``
+    and ``time()`` after ``from time import time`` both give ``("time",
+    "time")``; ``date.today()`` after ``from datetime import date``
+    gives ``("date", "today")``.  A bare name that is not imported (a
+    local ``def time()``) gives None."""
+    parts: List[str] = []
+    func = node.func
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
+        return None
+    parts.extend(reversed(ctx.imports.get(func.id, func.id).split(".")))
+    return (parts[1], parts[0]) if len(parts) > 1 else None
+
+
 class WallClockRule(Rule):
     rule_id = "DET-CLOCK"
     title = "No wall-clock or entropy reads"
@@ -98,17 +135,17 @@ class WallClockRule(Rule):
     node_types = (ast.Call,)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
-        target = dotted_call(node)
+        target = resolved_call(node, ctx)
         if target is None:
             return
         module, attr = target
-        if target in WALL_CLOCK_READS:
+        if target in WALL_CLOCK_READS or target in ENTROPY_READS:
             ctx.report(self, node,
                        f"{module}.{attr} reads the wall clock / OS entropy; "
                        f"use the simulator clock (scheduler.now)")
-        elif module == "datetime" and attr in DATETIME_READS:
+        elif target in DATETIME_READS:
             ctx.report(self, node,
-                       f"datetime.{attr} reads the wall clock; timestamps "
+                       f"{module}.{attr} reads the wall clock; timestamps "
                        f"must come from simulated time")
 
 
@@ -122,13 +159,10 @@ class PerfCounterRule(Rule):
     node_types = (ast.Call,)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
-        target = dotted_call(node)
-        if target is None:
-            return
-        module, attr = target
-        if module == "time" and attr in ("perf_counter", "perf_counter_ns") \
+        target = resolved_call(node, ctx)
+        if target in PERF_COUNTER_READS \
                 and not ctx.config.perf_counter_ok(ctx.rel):
             ctx.report(self, node,
-                       f"time.{attr} outside the reporting allowlist; "
+                       f"time.{target[1]} outside the reporting allowlist; "
                        f"wall-clock measurement belongs in report/metrics "
                        f"modules only")

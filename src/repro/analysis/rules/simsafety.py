@@ -69,13 +69,12 @@ class RealIORule(Rule):
                  "the abstraction wrapper; reading or writing real files "
                  "couples a replica to its host filesystem and breaks "
                  "both determinism and the recovery model.  Report "
-                 "writers and CLIs are allowlisted.")
+                 "writers and CLIs live outside the protocol packages.")
     example = "open(path).read()  # inside a wrapper"
     node_types = (ast.Call,)
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.config.in_protocol(ctx.rel) \
-            and not ctx.config.io_ok(ctx.rel)
+        return ctx.config.in_protocol(ctx.rel)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
         func = node.func

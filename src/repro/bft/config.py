@@ -25,7 +25,6 @@ class BftConfig:
     view_change_timeout: float = 5.0   # backup timer before suspecting primary
     client_retry_timeout: float = 2.0  # client retransmission timer
     read_only_optimization: bool = True
-    tentative_reply_digests: bool = True  # only one replica sends full result
     tentative_execution: bool = True   # execute at prepared, reply tentative
     reboot_delay: float = 30.0         # simulated reboot during recovery
     recovery_interval: float = 0.0     # watchdog period; 0 disables recovery

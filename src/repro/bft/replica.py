@@ -692,8 +692,7 @@ class Replica(Node):
                force_full: bool = False, read_only: bool = False) -> None:
         rdigest = digest(result)
         self.charge(self.costs.digest(len(result)))
-        full = (force_full or not self.config.tentative_reply_digests
-                or self._is_designated(seq))
+        full = force_full or self._is_designated(seq)
         reply = Reply(self.view, request_id, client_id, self.node_id,
                       result if full else None, rdigest, tentative,
                       read_only)

@@ -13,3 +13,14 @@ def stamp():
     d = uuid.uuid4()
     e = os.urandom(4)
     return a, b, c, d, e
+
+
+def stamp_through_aliases():
+    """The same reads spelled through aliased and from-imports."""
+    import time as t
+    import uuid as u
+    from datetime import date
+    from os import urandom
+    from time import time
+
+    return date.today(), u.uuid4(), time(), t.time(), urandom(2)

@@ -1,7 +1,10 @@
 """Shared fixtures for the test suite."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import lint
 from repro.bft.config import BftConfig
 from repro.bft.statemachine import InMemoryStateManager
 from repro.harness.cluster import build_cluster
@@ -26,6 +29,20 @@ def record_events(tracer, *kinds):
 
     tracer.subscribe(on_event)
     return events
+
+
+def render_findings(findings):
+    """One line per finding, each followed by its call chain, if any."""
+    return "\n".join(
+        f.render() + "".join(f"\n    {hop}" for hop in f.chain)
+        for f in findings)
+
+
+@pytest.fixture(scope="session")
+def src_lint_findings():
+    """Every finding of one :func:`lint` run over ``src/repro``: the
+    whole-tree gates each check their slice of this one pass."""
+    return lint([Path(__file__).resolve().parent.parent / "src" / "repro"])
 
 
 @pytest.fixture

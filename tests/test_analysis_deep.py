@@ -1,4 +1,4 @@
-"""DeepLint: fixture rules, call-graph edge cases, CLI flags.
+"""DeepLint: fixture rules, call-graph edge cases, the single-pass CLI.
 
 Fixture trees live under ``tests/analysis_fixtures/deep/<case>/repro/``:
 the ``repro/`` directory makes the loader assign the same dotted module
@@ -7,19 +7,16 @@ config resolve against the fixtures unchanged.
 """
 
 import json
-import subprocess
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import baseline as baselinelib
+from repro.analysis import EVERYWHERE, lint
 from repro.analysis import report as reportlib
 from repro.analysis.__main__ import main
-from repro.analysis.config import DEEP_EVERYWHERE
 from repro.analysis.deep.callgraph import build_callgraph
 from repro.analysis.deep.catalog import DEEP_RULE_IDS, DEEP_RULES_BY_ID
-from repro.analysis.deep.driver import run_deep
 from repro.analysis.deep.project import load_project
 from repro.analysis.engine import Finding
 
@@ -44,7 +41,7 @@ CASES = {
 
 
 def deep(case: str):
-    return run_deep([FIXTURES / case], DEEP_EVERYWHERE)
+    return lint([FIXTURES / case], EVERYWHERE)
 
 
 def of_rule(findings, rule_id):
@@ -84,8 +81,8 @@ def test_taint_finding_carries_source_to_sink_chain():
     assert finding.chain[0].startswith("source: time.time()")
     assert finding.chain[-1].startswith("sink: canonical()")
     assert any("now_ts" in hop for hop in finding.chain)
-    # The message names the path by function only — line churn in the
-    # chain must not churn the baseline fingerprint.
+    # The message names the path by function only; file:line detail
+    # lives in the chain.
     assert "now_ts" in finding.message
     assert ":" not in finding.message.split(" via ")[1]
 
@@ -108,8 +105,8 @@ def test_state_sink_reported_through_handler():
 
 def test_deep_runs_are_deterministic():
     roots = [FIXTURES / case for case in sorted(CASES)]
-    one = run_deep(roots, DEEP_EVERYWHERE)
-    two = run_deep(roots, DEEP_EVERYWHERE)
+    one = lint(roots, EVERYWHERE)
+    two = lint(roots, EVERYWHERE)
     assert one == two
     dump = lambda fs: json.dumps([f.to_dict() for f in fs])  # noqa: E731
     assert dump(one) == dump(two)
@@ -166,11 +163,11 @@ def test_op_dispatch_edge(tmp_path):
                     return value
             """,
     })
-    project = load_project([tmp_path], DEEP_EVERYWHERE)
+    project = load_project([tmp_path], EVERYWHERE)
     graph = build_callgraph(project)
     execute = "repro.bft.svc.Service.execute"
     assert "repro.bft.svc.Service.put" in graph.callees(execute)
-    findings = run_deep([tmp_path], DEEP_EVERYWHERE)
+    findings = lint([tmp_path], EVERYWHERE)
     assert not of_rule(findings, "DEEP-COST")
 
 
@@ -196,7 +193,7 @@ def test_super_call_resolution(tmp_path):
                     return canonical(super().stamp())
             """,
     })
-    findings = of_rule(run_deep([tmp_path], DEEP_EVERYWHERE),
+    findings = of_rule(lint([tmp_path], EVERYWHERE),
                        "DEEP-TAINT")
     # super().stamp() resolves past Child.stamp (which is clean) to
     # Base.stamp (tainted).
@@ -223,7 +220,7 @@ def test_lambda_and_comprehension(tmp_path):
                 return canonical([x for x in pending])
             """,
     })
-    findings = of_rule(run_deep([tmp_path], DEEP_EVERYWHERE),
+    findings = of_rule(lint([tmp_path], EVERYWHERE),
                        "DEEP-TAINT")
     kinds = sorted(f.message.split("(")[1].split(":")[0]
                    for f in findings)
@@ -243,7 +240,7 @@ def test_aliased_imports(tmp_path):
                 return canon(clock.time())
             """,
     })
-    findings = of_rule(run_deep([tmp_path], DEEP_EVERYWHERE),
+    findings = of_rule(lint([tmp_path], EVERYWHERE),
                        "DEEP-TAINT")
     assert len(findings) == 1
     assert "time.time()" in findings[0].message
@@ -272,7 +269,7 @@ def test_mutual_recursion_reaches_fixpoint(tmp_path):
                 return canonical(ping(3))
             """,
     })
-    findings = of_rule(run_deep([tmp_path], DEEP_EVERYWHERE),
+    findings = of_rule(lint([tmp_path], EVERYWHERE),
                        "DEEP-TAINT")
     assert len(findings) == 1
 
@@ -292,38 +289,37 @@ def test_suppression_silences_deep_finding(tmp_path):
                 return canonical(ts)
             """,
     })
-    findings = run_deep([tmp_path], DEEP_EVERYWHERE)
+    findings = lint([tmp_path], EVERYWHERE)
     assert not of_rule(findings, "DEEP-TAINT")
+    # The file rule still sees the read; a deep-rule suppression is not
+    # an unknown rule to the file-level pass.
+    assert [f.rule for f in findings] == ["DET-CLOCK"]
 
 
-# -- report schema v2 ----------------------------------------------------------
+# -- report schema -------------------------------------------------------------
 
 def test_report_schema_accepts_chain():
     finding = Finding("bft/a.py", 3, 0, "DEEP-TAINT", "taint msg",
                       chain=("source: x at bft/a.py:3",
                              "sink: canonical() at bft/b.py:9"))
-    diff = baselinelib.apply([finding], [])
-    doc = reportlib.build(diff, DEEP_RULE_IDS, ["src/repro"])
+    doc = reportlib.build([finding], DEEP_RULE_IDS, ["src/repro"])
+    assert doc["findings"] == [finding.to_dict()]
     assert doc["findings"][0]["chain"] == list(finding.chain)
-    rehydrated = reportlib.finding_from_dict(doc["findings"][0])
-    assert rehydrated == finding
 
 
 def test_report_schema_rejects_bad_chain():
     finding = Finding("bft/a.py", 3, 0, "DEEP-TAINT", "taint msg")
-    diff = baselinelib.apply([finding], [])
-    doc = reportlib.build(diff, DEEP_RULE_IDS, ["src/repro"])
+    doc = reportlib.build([finding], DEEP_RULE_IDS, ["src/repro"])
     doc["findings"][0]["chain"] = "not-a-list"
     with pytest.raises(ValueError):
         reportlib.validate(doc)
 
 
-# -- CLI -----------------------------------------------------------------------
+# -- one pass --------------------------------------------------------------------
 
-def test_cli_deep_flag(tmp_path, capsys):
+def test_cli_runs_the_deep_passes_without_a_flag(tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main([str(FIXTURES / "taint_clock_bad"), "--deep",
-                 "--out", str(out)])
+    code = main([str(FIXTURES / "taint_clock_bad"), "--out", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
     reportlib.validate(report)
@@ -335,89 +331,14 @@ def test_cli_deep_flag(tmp_path, capsys):
     assert "DEEP-TAINT" in text and "source: time.time()" in text
 
 
-def test_cli_without_deep_skips_deep_rules(tmp_path):
-    out = tmp_path / "report.json"
-    code = main([str(FIXTURES / "taint_clock_bad"), "--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert not set(DEEP_RULE_IDS) & set(report["rules"])
-
-
-def test_cli_prune_baseline_is_idempotent(tmp_path, capsys):
-    path = tmp_path / "baseline.json"
-    baselinelib.dump(["DEEP-TAINT:bft/gone.py:no longer fires"], path)
-    args = [str(FIXTURES / "taint_ok"), "--deep",
-            "--baseline", str(path), "--prune-baseline"]
-    assert main(args) == 0
-    assert "pruned stale baseline entry" in capsys.readouterr().out
-    assert baselinelib.load(path) == []
-    before = path.read_text()
-    assert main(args) == 0
-    assert "pruned" not in capsys.readouterr().out
-    assert path.read_text() == before
-
-
-def _git(repo, *argv):
-    subprocess.run(["git", "-C", str(repo), *argv], check=True,
-                   capture_output=True)
-
-
-def test_cli_changed_since(tmp_path, monkeypatch):
-    """--changed-since limits per-file rules to changed files, but the
-    deep passes stay whole-program."""
-    repo = tmp_path / "work"
-    pkg = repo / "repro" / "bft"
-    pkg.mkdir(parents=True)
-    (pkg / "stable.py").write_text(textwrap.dedent("""\
-        import time
-
-
-        def old_violation():
-            return time.time()
-
-
-        def quorum(votes):
-            return len(votes) >= 3
-        """), encoding="utf-8")
-    (pkg / "touched.py").write_text("def touched():\n    return 1\n",
-                                    encoding="utf-8")
-    _git(repo, "init", "-q")
-    _git(repo, "add", ".")
-    _git(repo, "-c", "user.email=t@t", "-c", "user.name=t",
-         "commit", "-q", "-m", "seed")
-    (pkg / "touched.py").write_text(textwrap.dedent("""\
-        import time
-
-
-        def touched():
-            return time.time()
-        """), encoding="utf-8")
-    monkeypatch.chdir(repo)
-
-    out = repo / "report.json"
-    code = main([str(repo / "repro"), "--changed-since", "HEAD",
-                 "--out", str(out)])
-    assert code == 1
-    paths = {d["path"] for d in json.loads(out.read_text())["findings"]}
-    # stable.py's DET-CLOCK violation is filtered (unchanged)...
-    assert paths == {"bft/touched.py"}
-
-    code = main([str(repo / "repro"), "--changed-since", "HEAD",
-                 "--deep", "--out", str(out)])
-    assert code == 1
-    report = json.loads(out.read_text())
-    deep_paths = {d["path"] for d in report["findings"]
-                  if d["rule"].startswith("DEEP-")}
-    # ...but the whole-program quorum check still sees it.
-    assert "bft/stable.py" in deep_paths
-
-
-def test_cli_changed_since_bad_ref(tmp_path, monkeypatch, capsys):
-    repo = tmp_path / "work"
-    (repo / "repro").mkdir(parents=True)
-    _git(repo, "init", "-q")
-    monkeypatch.chdir(repo)
-    code = main([str(repo / "repro"), "--changed-since",
-                 "no-such-ref"])
-    assert code == 2
-    assert "--changed-since" in capsys.readouterr().err
+def test_unparseable_file_and_deep_finding_in_one_run(tmp_path):
+    write_tree(tmp_path, {
+        "bft/broken.py": "def broken(:\n",
+        "bft/votes.py": """\
+            def certified(votes, f):
+                return len(votes) >= 2 * f + 1
+            """,
+    })
+    findings = lint([tmp_path])
+    assert [(f.path, f.rule) for f in findings] == [
+        ("bft/broken.py", "PL-SYNTAX"), ("bft/votes.py", "DEEP-QUORUM")]

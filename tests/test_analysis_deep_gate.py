@@ -1,31 +1,16 @@
-"""The deep gate: ``src/repro`` stays DeepLint-clean.
+"""The deep gate: ``src/repro`` stays clean under the whole-program
+passes.
 
-Mirrors the file-level gate in ``test_analysis_engine.py``: the deep
-passes run over the real tree against the committed
-``deeplint-baseline.json``.  New findings fail (fix the code or add a
-reasoned inline suppression); stale baseline entries fail too, so the
-baseline only ever shrinks.
+The file rules of the same :func:`repro.analysis.lint` run are gated in
+``test_analysis_engine.py``.  A new finding fails: fix the code or add a
+reasoned ``# protolint: disable=`` comment.
 """
 
-from pathlib import Path
+from repro.analysis.deep.catalog import DEEP_RULE_IDS
 
-from repro.analysis import baseline as baselinelib
-from repro.analysis.deep.driver import run_deep
-
-REPO = Path(__file__).parent.parent
-SRC = REPO / "src" / "repro"
-BASELINE = REPO / "deeplint-baseline.json"
+from tests.conftest import render_findings
 
 
-def test_src_tree_is_deeplint_clean():
-    findings = run_deep([SRC])
-    fingerprints = baselinelib.load(BASELINE)
-    diff = baselinelib.apply(findings, fingerprints)
-    assert not diff.new, (
-        "new deep findings (fix them or suppress with a reasoned "
-        "'# protolint: disable=' comment):\n"
-        + "\n".join(f.render() + "\n" + "\n".join(
-            f"    {hop}" for hop in f.chain) for f in diff.new))
-    assert not diff.stale, (
-        "stale deeplint-baseline.json entries (debt paid — delete "
-        "them):\n" + "\n".join(diff.stale))
+def test_src_tree_is_deeplint_clean(src_lint_findings):
+    findings = [f for f in src_lint_findings if f.rule in DEEP_RULE_IDS]
+    assert findings == [], render_findings(findings)

@@ -1,18 +1,19 @@
-"""Engine-level tests for ProtoLint: suppressions, baselines, reports,
-deterministic ordering, and the ``python -m repro.analysis`` CLI."""
+"""Engine-level tests for ProtoLint: suppressions, reports,
+deterministic ordering, the ``python -m repro.analysis`` CLI, and the
+whole-tree gate."""
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Engine, Finding, SUPPRESS_RULE_ID, all_rules,
-                            select_rules)
-from repro.analysis import baseline as baselinelib
+from repro.analysis import (RULE_IDS, Engine, Finding, SUPPRESS_RULE_ID,
+                            all_rules, lint, rules_by_id)
 from repro.analysis import report as reportlib
 from repro.analysis.__main__ import main
-from repro.analysis.baseline import BaselineDiff
+from repro.analysis.deep.catalog import DEEP_RULE_IDS
 from repro.analysis.engine import relativize
+
+from tests.conftest import render_findings
 
 REL = "bft/fixture.py"
 
@@ -20,7 +21,8 @@ BAD_LINE = "value = random.choice(options)\n"
 
 
 def _findings(source, rules=("DET-RNG",), rel=REL):
-    return Engine(select_rules(list(rules))).check_source(source, rel)
+    table = rules_by_id()
+    return Engine([table[r] for r in rules]).check_source(source, rel)
 
 
 # -- suppressions --------------------------------------------------------------
@@ -97,75 +99,27 @@ def test_hash_inside_string_is_not_a_suppression():
     assert [f.rule for f in findings] == ["DET-RNG"]
 
 
-# -- baselines -----------------------------------------------------------------
-
 def _one_finding():
     findings = _findings("import random\n" + BAD_LINE)
     assert len(findings) == 1
     return findings[0]
 
 
-def test_baseline_roundtrip_and_semantics(tmp_path):
-    finding = _one_finding()
-    path = tmp_path / "baseline.json"
-    baselinelib.dump([finding.fingerprint, "DET-RNG:gone.py:stale entry"],
-                     path)
-    entries = baselinelib.load(path)
-    diff = baselinelib.apply([finding], entries)
-    assert diff.new == ()                     # baselined finding passes
-    assert diff.baselined == (finding,)
-    assert diff.stale == ("DET-RNG:gone.py:stale entry",)  # warns
-
-
-def test_new_finding_is_not_masked_by_unrelated_baseline():
-    finding = _one_finding()
-    diff = baselinelib.apply([finding], ["DET-RNG:other.py:different"])
-    assert diff.new == (finding,)
-    assert diff.stale == ("DET-RNG:other.py:different",)
-
-
-def test_baseline_fingerprint_survives_line_churn():
-    a = Finding(REL, 2, 8, "DET-RNG", "message text")
-    b = Finding(REL, 99, 0, "DET-RNG", "message text")
-    assert a.fingerprint == b.fingerprint
-    assert baselinelib.apply([b], [a.fingerprint]).new == ()
-
-
-@pytest.mark.parametrize("doc", [
-    "[]",
-    '{"kind": "wrong", "schema_version": 1, "findings": []}',
-    '{"kind": "protolint_baseline", "schema_version": 99, "findings": []}',
-    '{"kind": "protolint_baseline", "schema_version": 1, "findings": [1]}',
-    '{"kind": "protolint_baseline", "schema_version": 1, '
-    '"findings": ["no-colons"]}',
-    "not json at all",
-])
-def test_invalid_baseline_files_are_rejected(tmp_path, doc):
-    path = tmp_path / "baseline.json"
-    path.write_text(doc)
-    with pytest.raises(ValueError):
-        baselinelib.load(path)
-
-
 # -- report schema -------------------------------------------------------------
 
-def _report(findings=(), baselined=(), stale=()):
-    diff = BaselineDiff(new=tuple(findings), baselined=tuple(baselined),
-                        stale=tuple(stale))
-    return reportlib.build(diff, [r.rule_id for r in all_rules()],
-                           ["src/repro"])
+def _report(findings=()):
+    return reportlib.build(findings, RULE_IDS, ["src/repro"])
 
 
 def test_report_builds_and_validates():
     finding = _one_finding()
-    doc = _report([finding], stale=("DET-RNG:gone.py:old",))
+    doc = _report([finding])
     assert doc["ok"] is False
-    assert doc["counts"] == {"errors": 1, "warnings": 0, "baselined": 0,
-                             "stale_baseline": 1}
-    assert doc["findings"][0]["rule"] == "DET-RNG"
+    assert doc["schema_version"] == 3
+    assert doc["counts"] == {"errors": 1, "warnings": 0}
+    assert doc["findings"] == [finding.to_dict()]
     # Round-trips through JSON.
     reportlib.validate(json.loads(json.dumps(doc)))
-    assert reportlib.finding_from_dict(doc["findings"][0]) == finding
 
 
 def test_report_ok_when_clean():
@@ -178,7 +132,7 @@ def test_report_ok_when_clean():
     lambda d: d.__setitem__("kind", "other"),
     lambda d: d.__setitem__("ok", "yes"),
     lambda d: d["counts"].__setitem__("errors", -1),
-    lambda d: d["counts"].pop("baselined"),
+    lambda d: d["counts"].pop("warnings"),
     lambda d: d.__setitem__("findings", [{"rule": "X"}]),
     lambda d: d.__setitem__("rules", ["Z", "A"]),
     lambda d: d.__setitem__("ok", False),
@@ -210,9 +164,8 @@ def test_findings_are_deterministically_ordered(tmp_path):
     (tmp_path / "bft" / "a.py").write_text(
         "import random\n"
         "y = random.random()\n")
-    engine = Engine(all_rules())
-    first = engine.run(tmp_path)
-    second = engine.run(tmp_path)
+    first = lint([tmp_path])
+    second = lint([tmp_path])
     assert first == second
     assert [f.path for f in first] == sorted(f.path for f in first)
     assert first == sorted(first)
@@ -234,14 +187,9 @@ def test_relativize_rebases_onto_the_repro_package(tmp_path):
 # -- engine misc ---------------------------------------------------------------
 
 def test_engine_rejects_duplicate_rule_ids():
-    rule = select_rules(["DET-RNG"])[0]
+    rule = rules_by_id()["DET-RNG"]
     with pytest.raises(ValueError):
         Engine([rule, type(rule)()])
-
-
-def test_unknown_rule_selection_raises():
-    with pytest.raises(ValueError, match="NOT-A-RULE"):
-        select_rules(["NOT-A-RULE"])
 
 
 def test_syntax_error_becomes_a_finding():
@@ -268,64 +216,30 @@ def test_cli_exits_nonzero_on_findings(tmp_path, capsys):
 def test_cli_json_output_validates(tmp_path, capsys):
     root = _write_bad_tree(tmp_path)
     out_file = tmp_path / "report.json"
-    assert main([str(root), "--format", "json",
-                 "--out", str(out_file)]) == 1
-    stdout_doc = json.loads(capsys.readouterr().out)
-    reportlib.validate(stdout_doc)
-    file_doc = json.loads(out_file.read_text())
-    reportlib.validate(file_doc)
-    assert file_doc["findings"] == stdout_doc["findings"]
-
-
-def test_cli_baseline_workflow(tmp_path, capsys):
-    root = _write_bad_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    # 1. Grandfather the current findings.
-    assert main([str(root), "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    # 2. Same findings now pass, reported as baselined.
-    assert main([str(root), "--baseline", str(baseline)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    # 3. A new violation still fails.
-    (root / "bft" / "new.py").write_text("import time\nt = time.time()\n")
-    assert main([str(root), "--baseline", str(baseline)]) == 1
-    # 4. Fixing everything leaves the baseline stale: warn, exit 0.
-    (root / "bft" / "new.py").unlink()
-    (root / "bft" / "mod.py").write_text("x = 1\n")
-    assert main([str(root), "--baseline", str(baseline)]) == 0
-    assert "stale baseline entry" in capsys.readouterr().out
-
-
-def test_cli_rule_subset(tmp_path):
-    root = _write_bad_tree(tmp_path)
-    assert main([str(root), "--rules", "DET-CLOCK"]) == 0
-    assert main([str(root), "--rules", "DET-RNG"]) == 1
-
-
-def test_cli_rejects_unknown_rule(tmp_path):
-    with pytest.raises(SystemExit):
-        main([str(tmp_path), "--rules", "BOGUS"])
+    assert main([str(root), "--out", str(out_file)]) == 1
+    doc = json.loads(out_file.read_text())
+    reportlib.validate(doc)
+    assert doc["rules"] == list(RULE_IDS)
+    assert [d["rule"] for d in doc["findings"]] == ["DET-RNG"]
+    assert "bft/mod.py:2:8: DET-RNG" in capsys.readouterr().out
 
 
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in all_rules():
-        assert rule.rule_id in out
+    for rule_id in RULE_IDS:
+        assert rule_id in out
+    assert set(DEEP_RULE_IDS) < set(RULE_IDS)
+    assert len(RULE_IDS) == len(all_rules()) + len(DEEP_RULE_IDS)
 
 
 # -- the gate itself -----------------------------------------------------------
 
-def test_src_tree_is_protolint_clean():
-    """The whole point: src/repro stays clean under the full rule set
-    (modulo the committed baseline, which starts empty)."""
-    repo = Path(__file__).resolve().parent.parent
-    engine = Engine(all_rules())
-    findings = engine.run(repo / "src" / "repro")
-    baseline_path = repo / "protolint-baseline.json"
-    entries = baselinelib.load(baseline_path)
-    diff = baselinelib.apply(findings, entries)
-    assert diff.new == (), "\n".join(f.render() for f in diff.new)
-    assert diff.stale == (), \
-        f"stale baseline entries, prune protolint-baseline.json: " \
-        f"{diff.stale}"
+def test_src_tree_is_protolint_clean(src_lint_findings):
+    """The whole point: src/repro stays clean under every file rule.
+    The deep passes of the same run are gated in
+    ``test_analysis_deep_gate.py``.  Fix a finding or suppress it inline
+    with a reason."""
+    findings = [f for f in src_lint_findings
+                if f.rule not in DEEP_RULE_IDS]
+    assert findings == [], render_findings(findings)

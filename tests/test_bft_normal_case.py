@@ -119,8 +119,18 @@ def test_batching_under_load():
 def test_tentative_reply_digests_only_one_full_result(kv_cluster, kv_client):
     """With the reply optimization, exactly one replica sends the full
     result; the client still accepts."""
-    assert kv_cluster.config.tentative_reply_digests
+    replies = []
+
+    def tap(src, dst, msg):
+        if getattr(msg, "kind", "") == "reply":
+            replies.append(msg)
+        return True
+
+    kv_cluster.network.add_filter(tap)
     assert kv_client.call(put(9, b"z")) == b"ok"
+    assert len(replies) == 4
+    full = [r.replica_id for r in replies if r.result is not None]
+    assert len(full) == 1, full
 
 
 def test_client_cannot_issue_concurrent_requests(kv_cluster, kv_client):

@@ -1,39 +1,40 @@
-"""Repo-wide audit: no unseeded randomness or wall-clock reads in src/.
+"""Determinism self-test: the DET-* rules catch planted offenders.
 
 Every simulation outcome must be a pure function of (scenario, seed) —
 that is what makes FaultLab's replay command and the shrinker sound.
-The checks themselves now live in the ProtoLint rule engine
-(``repro.analysis``, rules DET-RNG / DET-CLOCK / DET-PERF); this test is
-the thin gate that runs the determinism rule set over ``src/repro`` and
-expects silence.  The self-test that the rules actually catch offenders
-lives in the per-rule fixtures under ``tests/analysis_fixtures/``
-(see ``tests/test_analysis_rules.py``); here we just spot-check the
-planted determinism fixtures end to end through the engine.
+The checks live in the ProtoLint rule engine (``repro.analysis``, rules
+DET-RNG / DET-CLOCK / DET-PERF).  Here ``src/repro`` must give no
+determinism finding, and the determinism rules run together over the
+planted fixtures, where each fixture must trip exactly its rule.
 """
 
 from pathlib import Path
 
-from repro.analysis import DETERMINISM_RULE_IDS, Engine, select_rules
+from repro.analysis import Engine, rules_by_id
 
-REPO = Path(__file__).resolve().parent.parent
-SRC = REPO / "src" / "repro"
+from tests.conftest import render_findings
+
 FIXTURES = Path(__file__).resolve().parent / "analysis_fixtures"
 
+DETERMINISM_RULE_IDS = ("DET-RNG", "DET-CLOCK", "DET-PERF")
 
-def test_src_tree_is_deterministic():
-    engine = Engine(select_rules(DETERMINISM_RULE_IDS))
-    findings = engine.run(SRC)
-    assert findings == [], "\n".join(f.render() for f in findings)
+
+def test_src_tree_is_deterministic(src_lint_findings):
+    findings = [f for f in src_lint_findings
+                if f.rule in DETERMINISM_RULE_IDS]
+    assert findings == [], render_findings(findings)
 
 
 def test_the_determinism_rules_catch_planted_offenders():
-    engine = Engine(select_rules(DETERMINISM_RULE_IDS))
+    table = rules_by_id()
+    engine = Engine([table[rule_id] for rule_id in DETERMINISM_RULE_IDS])
     by_fixture = {
         "det_rng_bad.py": "DET-RNG",
         "det_clock_bad.py": "DET-CLOCK",
         "det_perf_bad.py": "DET-PERF",
     }
     for name, rule_id in by_fixture.items():
-        findings = engine.check_file(FIXTURES / name, rel="bft/planted.py")
+        source = (FIXTURES / name).read_text(encoding="utf-8")
+        findings = engine.check_source(source, "bft/planted.py")
         assert findings, f"{name}: expected {rule_id} findings"
         assert {f.rule for f in findings} == {rule_id}
