@@ -40,19 +40,11 @@ class FloatPayloadRule(Rule):
                  "rejected (or hash-ordered) by the canonical encoder — "
                  "convert to sorted tuples of ints/strs/bytes first.")
     example = 'canonical(("reply", 0.5, {"a": 1}))'
-    node_types = (ast.Call, ast.FunctionDef)
+    node_types = (ast.Call,)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
-        if isinstance(node, ast.FunctionDef):
-            # `_fields()` methods define Message bodies.
-            if node.name != "_fields":
-                return
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.Return) and stmt.value is not None:
-                    for bad, what in _payload_offenders(stmt.value):
-                        ctx.report(self, bad,
-                                   f"{what} in a message _fields() body")
-            return
+        # Message bodies need no branch here: a message kind's declared
+        # field types admit no float, dict or set.
         func = node.func
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None)

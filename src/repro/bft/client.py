@@ -95,10 +95,9 @@ class BftClient(Node):
     def __init__(self, client_id: str, network: Network, config: BftConfig,
                  registry: KeyRegistry, tracer: Optional[Tracer] = None,
                  costs: CostModel = ZERO_COSTS):
-        super().__init__(client_id, network)
+        super().__init__(client_id, network, tracer)
         self.config = config
         self.registry = registry
-        self.tracer = tracer or Tracer()
         self.costs = costs
         registry.enroll(client_id)
         self.view_estimate = 0

@@ -8,6 +8,7 @@ safety arguments must survive; tests combine them with network faults.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Optional, Tuple
 
 
@@ -163,3 +164,54 @@ class ForgedAuthBehavior(Behavior):
             from repro.crypto.mac import Authenticator
             msg.auth = Authenticator.forged(auth.sender, list(auth.tags))
         return msg
+
+
+class IllTypedBehavior(Behavior):
+    """Sends re-authenticated, ill-typed copies of its real messages.
+
+    Every other outgoing message is replaced by a copy with one plain
+    field set to a value of the wrong type or range (cycling through
+    fields and values), then MAC'd or signed afresh: receivers see a
+    correctly authenticated message from an enrolled replica that does
+    not fit its declaration.  The copy is new, so the original — shared
+    by a multicast's destinations and kept in the sender's log — is
+    never touched.
+    """
+
+    VALUES = ("x", None, -1, 2 ** 64, 0.5, True, ())
+
+    def __init__(self):
+        self._sent = 0
+        self.sent_ill_typed = 0
+
+    def rewrite_outgoing(self, msg, dst):
+        self._sent += 1
+        if self.node is None or self._sent % 2:
+            return msg
+        turn = self._sent // 2
+        nested = {i for i, _, _ in msg._nested}
+        names = [name for i, name in enumerate(msg._names)
+                 if i not in nested]
+        bad = replace(msg, **{names[turn % len(names)]:
+                              self.VALUES[turn % len(self.VALUES)]})
+        if msg.sig is not None:
+            self.node.sign_msg(bad)
+        else:
+            self.node.authenticate_for(bad, dst)
+        self.sent_ill_typed += 1
+        return bad
+
+
+#: Every behavior a fault plan may name: the one table FaultLab's plan
+#: validation and its injector both read.
+BEHAVIORS = {
+    "mute": MuteBehavior,
+    "wrong_reply": WrongReplyBehavior,
+    "bad_nondet": BadNondetBehavior,
+    "equivocate": EquivocatingPrimaryBehavior,
+    "forged_auth": ForgedAuthBehavior,
+    "unauth_reply": UnauthReplyBehavior,
+    "replay": ReplayBehavior,
+    "delay": DelayBehavior,
+    "ill_typed": IllTypedBehavior,
+}

@@ -1,48 +1,108 @@
-"""BFT protocol messages.
+"""BFT protocol messages, each kind declared once.
 
-Each message exposes:
-
-- ``kind`` — dispatch key used by :class:`repro.sim.Node`;
-- ``body()`` — canonical bytes covered by MACs/signatures (cached);
-- ``digest()`` — SHA-256 of the body;
-- ``wire_size()`` — bytes charged to the network, body + authentication.
-
-Authentication tags (``auth`` for MAC authenticators, ``sig`` for
-signatures) ride outside the body and are attached by the sender.
-"""
-
-from __future__ import annotations
+A kind is a ``@message`` class with a ``kind`` (the dispatch key of
+:class:`repro.sim.Node`) and annotated fields, which give its constructor
+and slots, the canonical ``body()`` MACs and signatures cover (a nested
+message enters as its digest), ``digest()``, the ``wire_size()`` the
+network charges, and ``malformed()``, which a node runs on each message
+it receives.  Field types are ``int`` (exactly: ``True`` is no sequence
+number), ``str``, ``bytes``, ``bool``, ``Optional``, tuples and message
+kinds; any other type (a float, say) fails at class creation."""
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from operator import attrgetter
+from typing import Annotated, Optional, Tuple, Union, get_args, get_origin
 
 from repro.crypto.digest import digest as sha_digest
-from repro.crypto.mac import MAC_SIZE
+from repro.crypto.mac import Authenticator
 from repro.crypto.signatures import SIGNATURE_SIZE
 from repro.encoding.canonical import canonical
 
 NULL_CLIENT = "__null__"
 
+#: Wire integers are unsigned 64-bit: views, sequence numbers, ids,
+#: nonces, tree coordinates and sim times are never negative.
+UINT64_MAX = 2 ** 64 - 1
 
+
+def _compile(tp, ns: dict):
+    """``(check, encode, size)`` for a declared type: an expression over
+    ``v`` that holds when it fits (names it uses go in ``ns``), then, if nested
+    messages sit inside (else None), ``v``'s body value and their wire
+    size.  ``Annotated`` metadata replaces a nested digest in the body."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp is int:
+        return "type(v) is int and 0 <= v <= UINT64_MAX", None, None
+    if tp in (str, bytes, bool):
+        return f"type(v) is {tp.__name__}", None, None
+    if origin is Annotated:
+        check, _, size = _compile(args[0], ns)
+        return check, args[1], size
+    if origin is Union and len(args) == 2 and args[1] is type(None):
+        inner, encode, size = _compile(args[0], ns)
+        return (f"v is None or ({inner})",
+                encode and (lambda v: None if v is None else encode(v)),
+                size and (lambda v: 0 if v is None else size(v)))
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item, encode, size = _compile(args[0], ns)
+        return (f"type(v) is tuple and all(map(lambda v: {item}, v))",
+                encode and (lambda v: tuple(map(encode, v))),
+                size and (lambda v: sum(map(size, v))))
+    if origin is tuple:
+        items = "".join(f" and (lambda v: {_compile(a, ns)[0]})(v[{i}])"
+                        for i, a in enumerate(args))
+        return f"type(v) is tuple and len(v) == {len(args)}{items}", None, None
+    if isinstance(tp, type) and issubclass(tp, Message):
+        ns[tp.__name__] = tp
+        return (f"type(v) is {tp.__name__} and v.malformed() is None",
+                Message.digest, Message.wire_size)
+    raise TypeError(f"{tp!r} is not a wire type")
+
+
+#: What the authentication tags, which ride outside the body, may hold.
+_TAGS = (("auth", "v is None or type(v) is Authenticator"
+                  " and type(v.tags) is dict"),
+         ("sig", "v is None or type(v) is bytes"))
+
+
+@dataclass(eq=False, slots=True)
 class Message:
-    """Base for protocol messages; subclasses define ``_fields()``."""
+    """Base for protocol messages; see the module docstring."""
 
-    kind = "message"
+    _body: Optional[bytes] = field(default=None, init=False, repr=False)
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False)
+    auth: Optional[Authenticator] = field(default=None, init=False,
+                                          repr=False)
+    sig: Optional[bytes] = field(default=None, init=False, repr=False)
 
-    __slots__ = ("_body", "_digest", "auth", "sig")
-
-    def __init__(self) -> None:
-        self._body: Optional[bytes] = None
-        self._digest: Optional[bytes] = None
-        self.auth = None   # Optional[Authenticator]
-        self.sig = None    # Optional[bytes]
-
-    def _fields(self) -> tuple:
-        raise NotImplementedError
+    def __init_subclass__(cls):
+        """Compile the declaration: field names and values in body order,
+        (position, encode, size) for nested messages, and ``malformed()``:
+        the name of the first field (or tag) that breaks it, or None."""
+        declared = cls.__dict__.get("__annotations__", {})
+        if "kind" not in cls.__dict__ or not declared:
+            raise TypeError(f"message {cls.__name__} must declare a kind "
+                            f"and its fields")
+        ns = {"UINT64_MAX": UINT64_MAX, "Authenticator": Authenticator}
+        specs = [_compile(tp, ns) for tp in declared.values()]
+        cls._names = names = tuple(declared)
+        cls._values = attrgetter(*names) if len(names) > 1 \
+            else lambda m: (getattr(m, names[0]),)
+        cls._nested = tuple((i, encode, size) for i, (_, encode, size)
+                            in enumerate(specs) if encode is not None)
+        tests = "".join(
+            f"    v = self.{name}\n    if not ({check}):\n"
+            f"        return {name!r}\n" for name, check
+            in [*zip(names, (check for check, _, _ in specs)), *_TAGS])
+        exec(f"def malformed(self):\n{tests}    return None\n", ns)
+        cls.malformed = ns["malformed"]
 
     def body(self) -> bytes:
         if self._body is None:
-            self._body = canonical((self.kind,) + self._fields())
+            values = list(self._values(self))
+            for i, encode, _ in self._nested:
+                values[i] = encode(values[i])
+            self._body = canonical((self.kind, *values))
         return self._body
 
     def digest(self) -> bytes:
@@ -56,34 +116,28 @@ class Message:
             size += self.auth.wire_size()
         if self.sig is not None:
             size += SIGNATURE_SIZE
+        for i, _, nested_size in self._nested:
+            size += nested_size(self._values(self)[i])
         return size
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}{self._fields()!r}"
+
+#: Declares a message kind: a slotted dataclass over its annotations.
+message = dataclass(eq=False, slots=True)
 
 
+@message
 class Request(Message):
     """Client request to execute ``op`` (opaque service-level bytes)."""
 
     kind = "request"
-
-    __slots__ = ("client_id", "request_id", "op", "read_only")
-
-    def __init__(self, client_id: str, request_id: int, op: bytes,
-                 read_only: bool = False):
-        super().__init__()
-        self.client_id = client_id
-        self.request_id = request_id
-        self.op = op
-        self.read_only = read_only
-
-    def _fields(self) -> tuple:
-        return (self.client_id, self.request_id, self.op, self.read_only)
+    client_id: str
+    request_id: int
+    op: bytes
+    read_only: bool = False
 
     @classmethod
     def null(cls) -> "Request":
-        """The no-op request used to fill sequence-number gaps after a
-        view change."""
+        """The no-op request that fills seq gaps after a view change."""
         return cls(NULL_CLIENT, 0, b"")
 
     @property
@@ -91,421 +145,210 @@ class Request(Message):
         return self.client_id == NULL_CLIENT
 
 
+@message
 class Reply(Message):
-    """Replica's reply; carries the full result or only its digest when
-    the tentative-reply optimization designates another replica."""
+    """Replica's reply: the full result, or only its digest when another
+    replica is designated.  A client that fell back to the ordered path
+    must not count a ``read_only`` reply (of unordered state)."""
 
     kind = "reply"
-
-    __slots__ = ("view", "request_id", "client_id", "replica_id", "result",
-                 "result_digest", "tentative", "read_only")
-
-    def __init__(self, view: int, request_id: int, client_id: str,
-                 replica_id: str, result: Optional[bytes],
-                 result_digest: bytes, tentative: bool = False,
-                 read_only: bool = False):
-        super().__init__()
-        self.view = view
-        self.request_id = request_id
-        self.client_id = client_id
-        self.replica_id = replica_id
-        self.result = result
-        self.result_digest = result_digest
-        self.tentative = tentative
-        # Distinguishes read-only-optimization replies (executed against
-        # the replica's current state, never ordered) from ordered
-        # tentative replies (executed at prepared, commit pending).  A
-        # client that fell back from the read-only path must not count
-        # straggling read-only replies toward the ordered quorum.
-        self.read_only = read_only
-
-    def _fields(self) -> tuple:
-        return (self.view, self.request_id, self.client_id, self.replica_id,
-                self.result, self.result_digest, self.tentative,
-                self.read_only)
+    view: int
+    request_id: int
+    client_id: str
+    replica_id: str
+    result: Optional[bytes]
+    result_digest: bytes
+    tentative: bool = False
+    read_only: bool = False
 
 
+@message
 class PrePrepare(Message):
-    """Primary's ordering proposal for a batch of requests at ``seq``.
-
-    Carries the requests themselves (piggybacked, as in the BFT
-    implementation) plus the primary's nondeterministic value for the
-    batch (BASE's ``propose_value`` output).
-    """
+    """Primary's proposal of a batch at ``seq``: the requests (piggybacked,
+    as in BFT) and its ``propose_value`` output for them (``nondet``)."""
 
     kind = "pre_prepare"
-
-    __slots__ = ("view", "seq", "requests", "nondet")
-
-    def __init__(self, view: int, seq: int, requests: Tuple[Request, ...],
-                 nondet: bytes):
-        super().__init__()
-        self.view = view
-        self.seq = seq
-        self.requests = tuple(requests)
-        self.nondet = nondet
-
-    def _fields(self) -> tuple:
-        return (self.view, self.seq,
-                tuple(r.digest() for r in self.requests), self.nondet)
+    view: int
+    seq: int
+    requests: Tuple[Request, ...]
+    nondet: bytes
 
     def batch_digest(self) -> bytes:
         """Digest that prepares/commits certify (covers seq/view/batch/nondet)."""
         return self.digest()
 
-    def wire_size(self) -> int:
-        return super().wire_size() + sum(r.wire_size() for r in self.requests)
 
-
+@message
 class Prepare(Message):
     kind = "prepare"
-
-    __slots__ = ("view", "seq", "batch_digest", "replica_id")
-
-    def __init__(self, view: int, seq: int, batch_digest: bytes, replica_id: str):
-        super().__init__()
-        self.view = view
-        self.seq = seq
-        self.batch_digest = batch_digest
-        self.replica_id = replica_id
-
-    def _fields(self) -> tuple:
-        return (self.view, self.seq, self.batch_digest, self.replica_id)
-
-
-class Commit(Message):
-    kind = "commit"
-
-    __slots__ = ("view", "seq", "batch_digest", "replica_id")
-
-    def __init__(self, view: int, seq: int, batch_digest: bytes, replica_id: str):
-        super().__init__()
-        self.view = view
-        self.seq = seq
-        self.batch_digest = batch_digest
-        self.replica_id = replica_id
-
-    def _fields(self) -> tuple:
-        return (self.view, self.seq, self.batch_digest, self.replica_id)
-
-
-class CheckpointMsg(Message):
-    """Announcement that a replica produced the checkpoint at ``seq``.
-
-    Covers both the abstract-state root digest and the digest of the
-    client reply cache — the reply cache is part of the replicated state
-    (as in BFT), so replicas that catch up by state transfer de-duplicate
-    retransmitted requests identically to those that executed them.
-    """
-
-    kind = "checkpoint"
-
-    __slots__ = ("seq", "root_digest", "table_digest", "replica_id")
-
-    def __init__(self, seq: int, root_digest: bytes, table_digest: bytes,
-                 replica_id: str):
-        super().__init__()
-        self.seq = seq
-        self.root_digest = root_digest
-        self.table_digest = table_digest
-        self.replica_id = replica_id
-
-    def _fields(self) -> tuple:
-        return (self.seq, self.root_digest, self.table_digest,
-                self.replica_id)
-
-
-@dataclass(frozen=True)
-class PreparedProof:
-    """Evidence carried in a VIEW-CHANGE that a batch prepared at a replica:
-    the pre-prepare (with its requests) plus the view it prepared in."""
-
     view: int
     seq: int
     batch_digest: bytes
-    pre_prepare: PrePrepare
-
-    def summary(self) -> tuple:
-        return (self.view, self.seq, self.batch_digest)
+    replica_id: str
 
 
+@message
+class Commit(Message):
+    kind = "commit"
+    view: int
+    seq: int
+    batch_digest: bytes
+    replica_id: str
+
+
+@message
+class CheckpointMsg(Message):
+    """A replica's checkpoint at ``seq``: the abstract-state root digest and
+    that of the reply cache, replicated state as in BFT."""
+
+    kind = "checkpoint"
+    seq: int
+    root_digest: bytes
+    table_digest: bytes
+    replica_id: str
+
+
+@message
 class ViewChange(Message):
-    """Signed request to move to ``view``; carries the replica's stable
-    checkpoint proof and its prepared certificates above it."""
+    """Signed request to move to ``view``: the stable checkpoint proof and
+    the pre-prepares prepared above it, in the body as (view, seq, digest)."""
 
     kind = "view_change"
-
-    __slots__ = ("view", "last_stable", "checkpoint_proof", "prepared",
-                 "replica_id")
-
-    def __init__(self, view: int, last_stable: int,
-                 checkpoint_proof: Tuple[CheckpointMsg, ...],
-                 prepared: Tuple[PreparedProof, ...], replica_id: str):
-        super().__init__()
-        self.view = view
-        self.last_stable = last_stable
-        self.checkpoint_proof = tuple(checkpoint_proof)
-        self.prepared = tuple(prepared)
-        self.replica_id = replica_id
-
-    def _fields(self) -> tuple:
-        return (self.view, self.last_stable,
-                tuple(m.digest() for m in self.checkpoint_proof),
-                tuple(p.summary() for p in self.prepared),
-                self.replica_id)
-
-    def wire_size(self) -> int:
-        return (super().wire_size()
-                + sum(m.wire_size() for m in self.checkpoint_proof)
-                + sum(p.pre_prepare.wire_size() for p in self.prepared))
+    view: int
+    last_stable: int
+    checkpoint_proof: Tuple[CheckpointMsg, ...]
+    prepared: Tuple[Annotated[PrePrepare, lambda pp: (
+        pp.view, pp.seq, pp.batch_digest())], ...]
+    replica_id: str
 
 
+@message
 class NewView(Message):
-    """New primary's signed certificate of 2f+1 view-changes plus the
-    pre-prepares it re-proposes for the new view."""
+    """The new primary's signed 2f+1 view-changes and its re-proposals."""
 
     kind = "new_view"
-
-    __slots__ = ("view", "view_changes", "pre_prepares", "replica_id")
-
-    def __init__(self, view: int, view_changes: Tuple[ViewChange, ...],
-                 pre_prepares: Tuple[PrePrepare, ...], replica_id: str):
-        super().__init__()
-        self.view = view
-        self.view_changes = tuple(view_changes)
-        self.pre_prepares = tuple(pre_prepares)
-        self.replica_id = replica_id
-
-    def _fields(self) -> tuple:
-        return (self.view,
-                tuple(m.digest() for m in self.view_changes),
-                tuple(m.digest() for m in self.pre_prepares),
-                self.replica_id)
-
-    def wire_size(self) -> int:
-        return (super().wire_size()
-                + sum(m.wire_size() for m in self.view_changes)
-                + sum(m.wire_size() for m in self.pre_prepares))
+    view: int
+    view_changes: Tuple[ViewChange, ...]
+    pre_prepares: Tuple[PrePrepare, ...]
+    replica_id: str
 
 
 # -- state transfer ---------------------------------------------------------
 
 
+@message
 class FetchCert(Message):
     """Ask a replica for its latest stable checkpoint certificate."""
 
     kind = "fetch_cert"
-
-    __slots__ = ("replica_id", "nonce")
-
-    def __init__(self, replica_id: str, nonce: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.nonce = nonce
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.nonce)
+    replica_id: str
+    nonce: int
 
 
+@message
 class CertReply(Message):
-    """Latest stable checkpoint certificate, plus (when one exists) the
-    sender's latest NEW-VIEW message so that a recovering replica can
-    catch up to the current view — the NEW-VIEW is self-validating."""
+    """Latest stable checkpoint certificate and, if any, the sender's last
+    (self-validating) NEW-VIEW, so a recovering replica catches up."""
 
     kind = "cert_reply"
-
-    __slots__ = ("replica_id", "nonce", "cert", "new_view")
-
-    def __init__(self, replica_id: str, nonce: int,
-                 cert: Tuple[CheckpointMsg, ...], new_view=None):
-        super().__init__()
-        self.replica_id = replica_id
-        self.nonce = nonce
-        self.cert = tuple(cert)
-        self.new_view = new_view
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.nonce,
-                tuple(m.digest() for m in self.cert),
-                self.new_view.digest() if self.new_view is not None
-                else None)
-
-    def wire_size(self) -> int:
-        size = super().wire_size() + sum(m.wire_size() for m in self.cert)
-        if self.new_view is not None:
-            size += self.new_view.wire_size()
-        return size
+    replica_id: str
+    nonce: int
+    cert: Tuple[CheckpointMsg, ...]
+    new_view: Optional[NewView] = None
 
 
+@message
 class FetchMeta(Message):
-    """Fetch partition-tree metadata: the children of node ``index`` at
-    tree ``level``, as of the stable checkpoint ``seq``."""
+    """Fetch the children of tree node (level, index) at checkpoint seq."""
 
     kind = "fetch_meta"
-
-    __slots__ = ("replica_id", "seq", "level", "index")
-
-    def __init__(self, replica_id: str, seq: int, level: int, index: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.level = level
-        self.index = index
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.level, self.index)
+    replica_id: str
+    seq: int
+    level: int
+    index: int
 
 
+@message
 class MetaReply(Message):
+    """A tree node's children as (digest, last-modified checkpoint)."""
+
     kind = "meta_reply"
-
-    __slots__ = ("replica_id", "seq", "level", "index", "children")
-
-    def __init__(self, replica_id: str, seq: int, level: int, index: int,
-                 children: Tuple[Tuple[bytes, int], ...]):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.level = level
-        self.index = index
-        self.children = tuple(children)  # (digest, last_modified_checkpoint)
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.level, self.index,
-                self.children)
+    replica_id: str
+    seq: int
+    level: int
+    index: int
+    children: Tuple[Tuple[bytes, int], ...]
 
 
+@message
 class FetchObject(Message):
     kind = "fetch_object"
-
-    __slots__ = ("replica_id", "seq", "index")
-
-    def __init__(self, replica_id: str, seq: int, index: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.index = index
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.index)
+    replica_id: str
+    seq: int
+    index: int
 
 
+@message
 class ObjectReply(Message):
     kind = "object_reply"
-
-    __slots__ = ("replica_id", "seq", "index", "value")
-
-    def __init__(self, replica_id: str, seq: int, index: int, value: bytes):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.index = index
-        self.value = value
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.index, self.value)
+    replica_id: str
+    seq: int
+    index: int
+    value: bytes
 
 
+@message
 class FetchTable(Message):
     """Fetch the client reply cache as of stable checkpoint ``seq``."""
 
     kind = "fetch_table"
-
-    __slots__ = ("replica_id", "seq")
-
-    def __init__(self, replica_id: str, seq: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq)
+    replica_id: str
+    seq: int
 
 
+@message
 class TableReply(Message):
     kind = "table_reply"
-
-    __slots__ = ("replica_id", "seq", "blob")
-
-    def __init__(self, replica_id: str, seq: int, blob: bytes):
-        super().__init__()
-        self.replica_id = replica_id
-        self.seq = seq
-        self.blob = blob
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.seq, self.blob)
+    replica_id: str
+    seq: int
+    blob: bytes
 
 
+@message
 class RecoveryRequest(Message):
-    """Signed announcement that a replica is recovering; peers respond
-    with their stable checkpoint certificates."""
+    """Signed: a replica is recovering; peers send their stable certs."""
 
     kind = "recovery_request"
-
-    __slots__ = ("replica_id", "epoch")
-
-    def __init__(self, replica_id: str, epoch: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.epoch = epoch
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.epoch)
+    replica_id: str
+    epoch: int
 
 
 # -- edge tier (bounded-staleness reads) ------------------------------------
 
 
+@message
 class EdgeRead(Message):
-    """An edge node's single-replica read: execute ``op`` against current
-    state and answer with staleness evidence (no ordering, no quorum)."""
+    """An edge node's single-replica read, answered with staleness evidence."""
 
     kind = "edge_read"
-
-    __slots__ = ("edge_id", "nonce", "op")
-
-    def __init__(self, edge_id: str, nonce: int, op: bytes):
-        super().__init__()
-        self.edge_id = edge_id
-        self.nonce = nonce
-        self.op = op
-
-    def _fields(self) -> tuple:
-        return (self.edge_id, self.nonce, self.op)
+    edge_id: str
+    nonce: int
+    op: bytes
 
 
+@message
 class EdgeReadReply(Message):
-    """One replica's answer to an :class:`EdgeRead`, carrying its version
-    vector: the stable checkpoint it last proved (``checkpoint_seq`` and
-    the abstract-state ``root_digest``) plus the sim-time lease anchor.
-
-    Sim times ride as integer microseconds — canonical wire payloads
-    must not carry floats (their bit patterns are not portable across
-    encoders; see the WIRE-FLOAT lint rule).
-    """
+    """One replica's answer to an :class:`EdgeRead` with its version
+    vector: the stable checkpoint it last proved, when that went stable
+    and when this read ran, in integer microseconds (no float fields)."""
 
     kind = "edge_read_reply"
-
-    __slots__ = ("replica_id", "edge_id", "nonce", "result", "result_digest",
-                 "checkpoint_seq", "root_digest", "stable_at_us",
-                 "issued_at_us")
-
-    def __init__(self, replica_id: str, edge_id: str, nonce: int,
-                 result: bytes, result_digest: bytes, checkpoint_seq: int,
-                 root_digest: bytes, stable_at_us: int, issued_at_us: int):
-        super().__init__()
-        self.replica_id = replica_id
-        self.edge_id = edge_id
-        self.nonce = nonce
-        self.result = result
-        self.result_digest = result_digest
-        self.checkpoint_seq = checkpoint_seq
-        self.root_digest = root_digest
-        self.stable_at_us = stable_at_us    # when the anchor went stable
-        self.issued_at_us = issued_at_us    # when this read executed
-
-    def _fields(self) -> tuple:
-        return (self.replica_id, self.edge_id, self.nonce, self.result,
-                self.result_digest, self.checkpoint_seq, self.root_digest,
-                self.stable_at_us, self.issued_at_us)
+    replica_id: str
+    edge_id: str
+    nonce: int
+    result: bytes
+    result_digest: bytes
+    checkpoint_seq: int
+    root_digest: bytes
+    stable_at_us: int
+    issued_at_us: int

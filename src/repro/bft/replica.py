@@ -65,11 +65,10 @@ class Replica(Node):
                  registry: KeyRegistry, state: StateManager,
                  tracer: Optional[Tracer] = None,
                  costs: CostModel = ZERO_COSTS):
-        super().__init__(replica_id, network)
+        super().__init__(replica_id, network, tracer)
         self.config = config
         self.registry = registry
         self.state = state
-        self.tracer = tracer or Tracer()
         self.costs = costs
         self._behavior: Behavior = HONEST
         registry.enroll(replica_id)

@@ -19,7 +19,6 @@ from repro.bft.messages import (
     NewView,
     PrePrepare,
     Prepare,
-    PreparedProof,
     Request,
     ViewChange,
 )
@@ -59,11 +58,8 @@ class ViewChangeManager:
         r.vc_timer.stop()
         r.trace("view_change_started", view=new_view)
 
-        prepared = tuple(
-            PreparedProof(slot.prepared_cert[0], slot.seq,
-                          slot.prepared_cert[1].batch_digest(),
-                          slot.prepared_cert[1])
-            for slot in r.log.prepared_above(r.last_stable))
+        prepared = tuple(slot.prepared_cert[1]
+                         for slot in r.log.prepared_above(r.last_stable))
         vc = ViewChange(new_view, r.last_stable, r.stable_cert, prepared,
                         r.node_id)
         r.sign_msg(vc)
@@ -119,14 +115,13 @@ class ViewChangeManager:
             if not r.valid_checkpoint_cert(msg.last_stable, root,
                                            msg.checkpoint_proof):
                 return False
-        for proof in msg.prepared:
-            pp = proof.pre_prepare
-            if (pp.seq != proof.seq or pp.view != proof.view
-                    or pp.batch_digest() != proof.batch_digest):
-                return False
-            if proof.seq <= msg.last_stable:
-                return False
-        return True
+        # A proof must come from an earlier view (PBFT's rule) and lie in
+        # the log window above the stable checkpoint, as an honest
+        # replica's watermarks guarantee: otherwise one signed
+        # view-change could make the new primary gap-fill up to any seq.
+        high = msg.last_stable + r.config.log_window
+        return all(msg.last_stable < pp.seq <= high and pp.view < msg.view
+                   for pp in msg.prepared)
 
     # -- new primary: assembling NEW-VIEW ---------------------------------------------
 
@@ -170,20 +165,19 @@ class ViewChangeManager:
         null request if no view-change prepared anything there.
         """
         min_s = max(vc.last_stable for vc in vcs)
-        best: Dict[int, PreparedProof] = {}
+        best: Dict[int, PrePrepare] = {}
         for vc in vcs:
-            for proof in vc.prepared:
-                if proof.seq <= min_s:
+            for pp in vc.prepared:
+                if pp.seq <= min_s:
                     continue
-                cur = best.get(proof.seq)
-                if cur is None or proof.view > cur.view:
-                    best[proof.seq] = proof
+                cur = best.get(pp.seq)
+                if cur is None or pp.view > cur.view:
+                    best[pp.seq] = pp
         max_s = max(best) if best else min_s
         pps = []
         for seq in range(min_s + 1, max_s + 1):
-            proof = best.get(seq)
-            if proof is not None:
-                src_pp = proof.pre_prepare
+            src_pp = best.get(seq)
+            if src_pp is not None:
                 pps.append(PrePrepare(view, seq, src_pp.requests,
                                       src_pp.nondet))
             else:

@@ -97,7 +97,7 @@ class Authenticator:
     def verify(self, registry: KeyRegistry, receiver: object,
                digest: bytes) -> bool:
         tag = self.tags.get(receiver)
-        if tag is None:
+        if type(tag) is not bytes:
             return False
         h = registry.mac_state(self.sender, receiver).copy()
         h.update(digest)

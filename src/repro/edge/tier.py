@@ -67,8 +67,9 @@ class _EdgeNode(Node):
     """The edge's network presence for single-replica vector reads."""
 
     def __init__(self, edge_id: str, network: Network, registry: KeyRegistry,
-                 costs: CostModel = ZERO_COSTS):
-        super().__init__(edge_id, network)
+                 costs: CostModel = ZERO_COSTS,
+                 tracer: Optional[Tracer] = None):
+        super().__init__(edge_id, network, tracer)
         self.registry = registry
         self.costs = costs
         registry.enroll(edge_id)
@@ -177,7 +178,8 @@ class EdgeTier:
             suffix = f"/s{i}" if len(groups) > 1 else ""
             client = BftClient(f"{edge_id}{suffix}/ro", network, config,
                                registry, tracer=self.tracer, costs=costs)
-            node = _EdgeNode(f"{edge_id}{suffix}", network, registry, costs)
+            node = _EdgeNode(f"{edge_id}{suffix}", network, registry, costs,
+                             self.tracer)
             breaker = CircuitBreaker(
                 lambda: scheduler.now,
                 failure_threshold=failure_threshold,

@@ -196,7 +196,7 @@ def sql_probe(ctx, k: int) -> Issue:
 # -- plan generators ---------------------------------------------------------------
 
 _BACKUP_BEHAVIORS = ("wrong_reply", "forged_auth", "unauth_reply", "mute",
-                     "replay", "delay")
+                     "replay", "delay", "ill_typed")
 
 
 def _plan_byzantine_backup(rng: random.Random) -> FaultPlan:
@@ -409,8 +409,8 @@ _FAST_CFG = dict(checkpoint_interval=4, view_change_timeout=0.8,
 register_scenario(Scenario(
     name="byzantine_backup",
     description="One backup runs a random Byzantine behavior "
-                "(wrong replies, forged MACs, silence, replay, delay) "
-                "for the whole trial.",
+                "(wrong replies, forged or missing MACs, silence, replay, "
+                "delay, ill-typed messages) for the whole trial.",
     plan=_plan_byzantine_backup,
     config=dict(_FAST_CFG),
 ))

@@ -6,6 +6,7 @@ from typing import Any, Callable, Optional
 
 from repro.sim.network import Network
 from repro.sim.scheduler import Event, Scheduler
+from repro.sim.tracing import Tracer
 
 
 class Timer:
@@ -81,9 +82,11 @@ class Timer:
 class Node:
     """A network participant with a stable id, send helpers, and timers."""
 
-    def __init__(self, node_id: Any, network: Network):
+    def __init__(self, node_id: Any, network: Network,
+                 tracer: Optional[Tracer] = None):
         self.node_id = node_id
         self.network = network
+        self.tracer = tracer or Tracer()
         self.scheduler = network.scheduler
         network.register(node_id, self)
         self._crashed = False
@@ -140,7 +143,13 @@ class Node:
                                extra_delay=delay if delay > 0 else 0.0)
 
     def on_message(self, src: Any, msg: Any) -> None:
-        """Dispatch to ``handle_<type>`` by the message's ``kind`` attribute."""
+        """Dispatch to ``handle_<type>`` by the message's ``kind`` attribute.
+
+        A message that declares a schema is checked against it first: one
+        that does not fit (a Byzantine sender's ill-typed field, say) is
+        dropped, counted as ``bad_message`` and emitted as a
+        ``bad_message`` event, so no handler ever sees it.
+        """
         if self._crashed:
             return
         kind = getattr(msg, "kind", None)
@@ -148,10 +157,17 @@ class Node:
         if handler is None:
             handler = getattr(self, f"handle_{kind}", None) if kind else None
             self._handlers[kind] = handler if handler is not None else False
-        if handler:
-            handler(src, msg)
-        else:
+        if not handler:
             self.on_unhandled(src, msg)
+            return
+        malformed = getattr(msg, "malformed", None)
+        bad = malformed() if malformed is not None else None
+        if bad is None:
+            handler(src, msg)
+            return
+        self.tracer.metrics.inc("bad_message")
+        self.tracer.emit(self.now, self.node_id, "bad_message", peer=src,
+                         message=kind, field=bad)
 
     def on_unhandled(self, src: Any, msg: Any) -> None:
         """Hook for messages without a dedicated handler; default drops."""

@@ -1,16 +1,5 @@
 """WIRE-FLOAT fixture: wire-hostile values in payload construction."""
 
 
-class Probe:
-    kind = "probe"
-
-    def __init__(self, view, delay):
-        self.view = view
-        self.delay = delay
-
-    def _fields(self):
-        return (self.view, 0.5, float(self.delay))
-
-
 def encode(canonical, view):
     return canonical(("probe", view, 1.25, {"retries": 3}, {1, 2}))

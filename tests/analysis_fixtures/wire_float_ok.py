@@ -4,16 +4,5 @@ Fixed-point integers carry fractional quantities across the wire.
 """
 
 
-class Probe:
-    kind = "probe"
-
-    def __init__(self, view, delay_micros):
-        self.view = view
-        self.delay_micros = delay_micros
-
-    def _fields(self):
-        return (self.view, self.delay_micros, b"payload")
-
-
 def encode(canonical, view):
     return canonical(("probe", view, 1250, (("retries", 3),)))

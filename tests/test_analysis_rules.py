@@ -25,7 +25,7 @@ CASES = {
     "RPL-SETITER": ("rpl_setiter", 4),
     "RPL-IDKEY": ("rpl_idkey", 1),
     "RPL-MUTDEF": ("rpl_mutdef", 4),
-    "WIRE-FLOAT": ("wire_float", 5),
+    "WIRE-FLOAT": ("wire_float", 3),
     "WIRE-EXCEPT": ("wire_except", 2),
 }
 

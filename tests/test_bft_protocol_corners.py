@@ -1,6 +1,6 @@
 """Protocol corner cases: watermarks, null-request gap fill, GC."""
 
-from repro.bft.messages import PrePrepare, Request
+from repro.bft.messages import PrePrepare, Request, ViewChange
 from repro.bft.statemachine import InMemoryStateManager
 from repro.bft.viewchange import ViewChangeManager
 from tests.conftest import make_kv_cluster
@@ -40,10 +40,8 @@ def test_primary_respects_high_water_mark():
 def test_new_view_fills_gaps_with_null_requests():
     """compute_new_view_pre_prepares inserts null requests for sequence
     numbers nobody prepared."""
-    from repro.bft.messages import PreparedProof, ViewChange
     pp5 = PrePrepare(0, 5, (Request("c", 1, b"op"),), b"")
-    proof5 = PreparedProof(0, 5, pp5.batch_digest(), pp5)
-    vcs = [ViewChange(1, 2, (), (proof5,), f"replica{i}")
+    vcs = [ViewChange(1, 2, (), (pp5,), f"replica{i}")
            for i in range(3)]
     pps = ViewChangeManager.compute_new_view_pre_prepares(1, vcs)
     assert [pp.seq for pp in pps] == [3, 4, 5]
@@ -55,14 +53,11 @@ def test_new_view_fills_gaps_with_null_requests():
 
 
 def test_new_view_prefers_highest_view_proof():
-    from repro.bft.messages import PreparedProof, ViewChange
     pp_old = PrePrepare(0, 3, (Request("c", 1, b"old"),), b"")
     pp_new = PrePrepare(1, 3, (Request("c", 2, b"new"),), b"")
     vcs = [
-        ViewChange(2, 2, (), (PreparedProof(0, 3, pp_old.batch_digest(),
-                                            pp_old),), "replica0"),
-        ViewChange(2, 2, (), (PreparedProof(1, 3, pp_new.batch_digest(),
-                                            pp_new),), "replica1"),
+        ViewChange(2, 2, (), (pp_old,), "replica0"),
+        ViewChange(2, 2, (), (pp_new,), "replica1"),
         ViewChange(2, 2, (), (), "replica2"),
     ]
     pps = ViewChangeManager.compute_new_view_pre_prepares(2, vcs)

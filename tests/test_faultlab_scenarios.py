@@ -6,7 +6,9 @@ import random
 import pytest
 
 from repro.faultlab.__main__ import main
+from repro.bft.faults import Behavior
 from repro.faultlab.explorer import run_trial
+from repro.faultlab.injector import make_behavior
 from repro.faultlab.plan import FaultPlan, ReplicaFault
 from repro.faultlab.report import (
     validate_sweep_report,
@@ -35,6 +37,26 @@ def test_plan_generators_are_seed_deterministic():
         first = gen(random.Random(f"{name}:determinism"))
         second = gen(random.Random(f"{name}:determinism"))
         assert first == second, name
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_drawable_behavior_builds(name):
+    """Each behavior a scenario's plans can draw is a registered one and
+    builds with the drawn parameters (a name missing from the registry
+    used to crash the sweep when a seed drew it)."""
+    for seed in range(64):
+        rng = random.Random(f"{name}:{seed}:plan")
+        for fault in get_scenario(name).plan(rng).faults:
+            if isinstance(fault, ReplicaFault):
+                behavior = make_behavior(fault.behavior, fault.params)
+                assert isinstance(behavior, Behavior)
+
+
+def test_ill_typed_backup_passes_every_invariant():
+    plan = FaultPlan((ReplicaFault(2, "ill_typed"),))
+    result = run_trial("byzantine_backup", 0, plan=plan)
+    assert result.ok, result.violations
+    assert result.accepted > 0
 
 
 @pytest.mark.parametrize("name", SWEPT)
